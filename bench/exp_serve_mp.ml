@@ -25,6 +25,7 @@
 module Server = Tenet.Serve.Server
 module Config = Tenet.Serve.Config
 module Api = Tenet.Serve.Api
+module Protocol = Tenet.Serve.Protocol
 module Json = Tenet.Obs.Json
 
 (* All-distinct fingerprints (i/16, i mod 16 enumerate distinct pairs),
@@ -72,18 +73,6 @@ let connect_retry path =
         go (tries - 1)
   in
   go 200
-
-let split_lines (buf : Buffer.t) : string list =
-  let s = Buffer.contents buf in
-  let rec go start acc =
-    match String.index_from_opt s start '\n' with
-    | Some i -> go (i + 1) (String.sub s start (i - start) :: acc)
-    | None ->
-        Buffer.clear buf;
-        Buffer.add_substring buf s start (String.length s - start);
-        List.rev acc
-  in
-  go 0 []
 
 let response_id line =
   match Json.member "id" (Json.parse line) with
@@ -143,7 +132,7 @@ let drive fd (lines : string array) : float list * float =
                   | Some t -> latencies := (now -. t) :: !latencies
                   | None -> ());
                   incr received)
-                (split_lines rbuf)
+                (Protocol.drain_lines rbuf)
           | exception
               Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
               ())

@@ -92,14 +92,16 @@ let () =
 
 let verify_forced : bool option ref = ref None
 
+(* Read once at module init: reading the environment cannot fail, and a
+   [lazy] here would not be domain-safe (pool domains race on the first
+   count; the losers raise [CamlinternalLazy.Undefined]). *)
 let verify_env =
-  lazy
-    (match Sys.getenv_opt "TENET_COUNT_VERIFY" with
-    | Some ("1" | "true" | "yes" | "on") -> true
-    | _ -> false)
+  match Sys.getenv_opt "TENET_COUNT_VERIFY" with
+  | Some ("1" | "true" | "yes" | "on") -> true
+  | _ -> false
 
 let verify_mode () =
-  match !verify_forced with Some b -> b | None -> Lazy.force verify_env
+  match !verify_forced with Some b -> b | None -> verify_env
 
 let set_verify_mode b = verify_forced := b
 

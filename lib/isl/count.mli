@@ -67,7 +67,7 @@ val cache_clear : unit -> unit
 
 (** {2 Counting sanitizer}
 
-    With [TENET_COUNT_VERIFY=1] in the environment (or
+    With [TENET_COUNT_VERIFY=1] in the environment at program start (or
     [set_verify_mode (Some true)]), every cardinality produced through
     the symbolic/quasi-polynomial fast path is re-derived through the
     plain enumeration path and compared; a disagreement raises

@@ -32,27 +32,22 @@ let c_shed_normal = Obs.counter "serve.shed_normal"
 let c_shed_low = Obs.counter "serve.shed_low"
 let c_shed_expired = Obs.counter "serve.shed_expired"
 
-let priority_to_string = function
-  | `High -> "high"
-  | `Normal -> "normal"
-  | `Low -> "low"
-
-let priority_of_string = function
-  | "high" -> Some `High
-  | "normal" -> Some `Normal
-  | "low" -> Some `Low
-  | _ -> None
-
-let known_priorities = [ "high"; "normal"; "low" ]
-
-let decide ~queue_limit ~shed_low ~shed_normal ~depth
-    ~(priority : priority) : verdict =
-  if depth >= queue_limit then Shed Hard_limit
+(* The watermark policy, resolved from the config on every call. *)
+let decide (cfg : Config.t) ~depth ~(priority : priority) : verdict =
+  if depth >= cfg.Config.queue_limit then Shed Hard_limit
   else
     match priority with
     | `High -> Admit
-    | `Normal -> if depth >= shed_normal then Shed Normal_priority else Admit
-    | `Low -> if depth >= shed_low then Shed Low_priority else Admit
+    | `Normal ->
+        if depth >= Config.shed_normal_watermark cfg then
+          Shed Normal_priority
+        else Admit
+    | `Low ->
+        if depth >= Config.shed_low_watermark cfg then Shed Low_priority
+        else Admit
+
+let under_pressure (cfg : Config.t) ~depth =
+  depth >= Config.shed_low_watermark cfg
 
 let expired_in_queue ~(deadline_ms : int option) ~(waited_ms : float) : bool =
   match deadline_ms with
@@ -69,8 +64,8 @@ let note (r : reason) : unit =
     | Low_priority -> c_shed_low
     | Expired -> c_shed_expired)
 
-let message ~queue_limit ~shed_low ~shed_normal ~waited_ms (r : reason) :
-    string =
+let message (cfg : Config.t) ~waited_ms (r : reason) : string =
+  let queue_limit = cfg.Config.queue_limit in
   match r with
   | Hard_limit ->
       (* byte-for-byte the legacy overload message: scripts and tests
@@ -82,12 +77,14 @@ let message ~queue_limit ~shed_low ~shed_normal ~waited_ms (r : reason) :
       Printf.sprintf
         "shedding normal-priority work (queue depth >= %d of limit %d); \
          retry later"
-        shed_normal queue_limit
+        (Config.shed_normal_watermark cfg)
+        queue_limit
   | Low_priority ->
       Printf.sprintf
         "shedding low-priority work (queue depth >= %d of limit %d); retry \
          later or raise the request priority"
-        shed_low queue_limit
+        (Config.shed_low_watermark cfg)
+        queue_limit
   | Expired ->
       Printf.sprintf
         "deadline expired after %.0f ms in the queue; the request was \

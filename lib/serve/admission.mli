@@ -8,22 +8,16 @@ type priority = [ `High | `Normal | `Low ]
 type reason = Hard_limit | Normal_priority | Low_priority | Expired
 type verdict = Admit | Shed of reason
 
-val priority_to_string : priority -> string
-val priority_of_string : string -> priority option
-val known_priorities : string list
+val decide : Config.t -> depth:int -> priority:priority -> verdict
+(** The watermark policy at submission time: at or past the queue limit
+    everything sheds; past {!Config.shed_normal_watermark} normal
+    priority sheds; past {!Config.shed_low_watermark} low priority
+    sheds.  High priority only hits the hard limit. *)
 
-val decide :
-  queue_limit:int ->
-  shed_low:int ->
-  shed_normal:int ->
-  depth:int ->
-  priority:priority ->
-  verdict
-(** The watermark policy at submission time: at or past [queue_limit]
-    everything sheds; past [shed_normal] normal priority sheds; past
-    [shed_low] low priority sheds.  High priority only hits the hard
-    limit.  Watermarks come resolved from {!Config.shed_low_watermark}
-    / {!Config.shed_normal_watermark}. *)
+val under_pressure : Config.t -> depth:int -> bool
+(** Whether a request admitted at [depth] was admitted under pressure
+    (at or past the low watermark): only such requests shed at dispatch
+    when their deadline expired in the queue. *)
 
 val expired_in_queue : deadline_ms:int option -> waited_ms:float -> bool
 (** Whether a request's whole deadline elapsed while it waited in the
@@ -33,13 +27,7 @@ val expired_in_queue : deadline_ms:int option -> waited_ms:float -> bool
 val note : reason -> unit
 (** Count one shed: the per-tier counter plus [serve.overloaded]. *)
 
-val message :
-  queue_limit:int ->
-  shed_low:int ->
-  shed_normal:int ->
-  waited_ms:float ->
-  reason ->
-  string
+val message : Config.t -> waited_ms:float -> reason -> string
 (** The human-readable response message.  [Hard_limit] keeps the legacy
     "work queue is full" wording byte-for-byte. *)
 

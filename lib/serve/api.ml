@@ -129,70 +129,186 @@ module Request = struct
       format = `Json;
     }
 
-  let cmd_to_string = function
-    | Analyze -> "analyze"
-    | Volumes -> "volumes"
-    | Dse -> "dse"
-    | Check -> "check"
-    | Stats -> "stats"
+  (* The wire schema: one row per field, in canonical order.  The
+     encoder, the decoder and the fingerprint are all derived from this
+     table, so a field is added (or renamed) in exactly one place. *)
+  type _ codec =
+    | String : string codec
+    | Int : int option -> int codec (* with an optional minimum *)
+    | Bool : bool codec
+    | List : 'a codec -> 'a list codec
+    | Option : 'a codec -> 'a option codec (* None is null *)
+    | Enum : (string * 'a) list -> 'a codec (* wire names, in order *)
 
-  let cmd_of_string = function
-    | "analyze" -> Some Analyze
-    | "volumes" -> Some Volumes
-    | "dse" -> Some Dse
-    | "check" -> Some Check
-    | "stats" -> Some Stats
-    | _ -> None
+  type field =
+    | Field : {
+        name : string;
+        codec : 'a codec;
+        get : t -> 'a;
+        set : t -> 'a -> t;
+        inert : bool; (* blanked in the fingerprint *)
+      }
+        -> field
 
-  let known_cmds = [ "analyze"; "volumes"; "dse"; "check"; "stats" ]
+  let field ?(inert = false) name codec get set =
+    Field { name; codec; get; set; inert }
 
-  (* Canonical encoding: every field, fixed order, options as null.
+  let cmds =
+    [
+      ("analyze", Analyze);
+      ("volumes", Volumes);
+      ("dse", Dse);
+      ("check", Check);
+      ("stats", Stats);
+    ]
+
+  let fields =
+    [
+      field "api_version" (Int None)
+        (fun r -> r.api_version)
+        (fun r v -> { r with api_version = v });
+      field ~inert:true "id" String
+        (fun r -> r.id)
+        (fun r v -> { r with id = v });
+      field "cmd" (Enum cmds) (fun r -> r.cmd) (fun r v -> { r with cmd = v });
+      field "kernel" String
+        (fun r -> r.kernel)
+        (fun r v -> { r with kernel = v });
+      field "sizes" (List (Int None))
+        (fun r -> r.sizes)
+        (fun r v -> { r with sizes = v });
+      field "c_source" (Option String)
+        (fun r -> r.c_source)
+        (fun r v -> { r with c_source = v });
+      field "arch" String (fun r -> r.arch) (fun r v -> { r with arch = v });
+      field "bandwidth" (Option (Int None))
+        (fun r -> r.bandwidth)
+        (fun r v -> { r with bandwidth = v });
+      field "space" String (fun r -> r.space) (fun r v -> { r with space = v });
+      field "time" String (fun r -> r.time) (fun r v -> { r with time = v });
+      field "dataflow" (Option String)
+        (fun r -> r.dataflow)
+        (fun r v -> { r with dataflow = v });
+      field "engine"
+        (Enum [ ("concrete", `Concrete); ("relational", `Relational) ])
+        (fun r -> r.engine)
+        (fun r v -> { r with engine = v });
+      field "adjacency"
+        (Enum [ ("inner", `Inner_step); ("lex", `Lex_step) ])
+        (fun r -> r.adjacency)
+        (fun r v -> { r with adjacency = v });
+      field "window" (Int (Some 1))
+        (fun r -> r.window)
+        (fun r v -> { r with window = v });
+      field "strict" Bool
+        (fun r -> r.strict)
+        (fun r v -> { r with strict = v });
+      field "scale_dims" (List String)
+        (fun r -> r.scale_dims)
+        (fun r v -> { r with scale_dims = v });
+      field "params" (List String)
+        (fun r -> r.params)
+        (fun r v -> { r with params = v });
+      field "tensors" (List String)
+        (fun r -> r.tensors)
+        (fun r v -> { r with tensors = v });
+      field "search"
+        (Enum
+           [
+             ("exhaustive", `Exhaustive);
+             ("pruned", `Pruned);
+             ("heuristic", `Heuristic);
+           ])
+        (fun r -> r.search)
+        (fun r v -> { r with search = v });
+      field "budget" (Option (Int (Some 1)))
+        (fun r -> r.budget)
+        (fun r v -> { r with budget = v });
+      field "top" (Int (Some 0))
+        (fun r -> r.top)
+        (fun r v -> { r with top = v });
+      field ~inert:true "deadline_ms" (Option (Int (Some 0)))
+        (fun r -> r.deadline_ms)
+        (fun r v -> { r with deadline_ms = v });
+      (* [priority] only changes the admission tier, never the result *)
+      field ~inert:true "priority"
+        (Enum [ ("high", `High); ("normal", `Normal); ("low", `Low) ])
+        (fun r -> r.priority)
+        (fun r v -> { r with priority = v });
+      (* [format] only changes the stats encoding; stats is never cached *)
+      field ~inert:true "format"
+        (Enum [ ("json", `Json); ("prometheus", `Prometheus) ])
+        (fun r -> r.format)
+        (fun r v -> { r with format = v });
+    ]
+
+  let by_name =
+    let t = Hashtbl.create 32 in
+    List.iter (fun (Field f as row) -> Hashtbl.replace t f.name row) fields;
+    t
+
+  (* Enum values are constant constructors, so physical equality is
+     their equality, with no polymorphic compare on the encode path. *)
+  let rec name_of cases v =
+    match cases with
+    | (name, x) :: rest -> if x == v then name else name_of rest v
+    | [] -> raise Not_found
+
+  let cmd_name c = name_of cmds c
+
+  let rec encode : type a. a codec -> a -> Json.t =
+   fun c v ->
+    match (c, v) with
+    | String, s -> Json.String s
+    | Int _, n -> Json.Int n
+    | Bool, b -> Json.Bool b
+    | List c, l -> Json.List (List.map (encode c) l)
+    | Option _, None -> Json.Null
+    | Option c, Some x -> encode c x
+    | Enum cases, x -> Json.String (name_of cases x)
+
+  let rec expected : type a. plural:bool -> a codec -> string =
+   fun ~plural -> function
+    | String | Enum _ -> if plural then "strings" else "a string"
+    | Int _ -> if plural then "integers" else "an integer"
+    | Bool -> if plural then "booleans" else "a boolean"
+    | List c -> "a list of " ^ expected ~plural:true c
+    | Option c -> expected ~plural c
+
+  let rec decode : type a. string -> a codec -> Json.t -> (a, string) result =
+   fun k c j ->
+    match (c, j) with
+    | String, Json.String s -> Ok s
+    | Int (Some min), Json.Int n when n < min ->
+        Error (Printf.sprintf "field %S must be >= %d" k min)
+    | Int _, Json.Int n -> Ok n
+    | Bool, Json.Bool b -> Ok b
+    | List c, Json.List l ->
+        let rec each acc = function
+          | [] -> Ok (List.rev acc)
+          | v :: rest ->
+              Result.bind (decode k c v) (fun x -> each (x :: acc) rest)
+        in
+        each [] l
+    | Option c, _ -> Result.map Option.some (decode k c j)
+    | Enum cases, Json.String s -> (
+        match List.assoc_opt s cases with
+        | Some x -> Ok x
+        | None ->
+            Error (Tenet_util.Text.unknown ~what:k s (List.map fst cases)))
+    | _ ->
+        Error
+          (Printf.sprintf "field %S must be %s" k (expected ~plural:false c))
+
+  (* Canonical encoding: every field, table order, options as null.
      [fingerprint] depends on this being stable. *)
-  let to_json (r : t) : Json.t =
-    let opt f = function None -> Json.Null | Some x -> f x in
-    let strings l = Json.List (List.map (fun s -> Json.String s) l) in
+  let encode_fields (pick : bool -> t) : Json.t =
     Json.Obj
-      [
-        ("api_version", Json.Int r.api_version);
-        ("id", Json.String r.id);
-        ("cmd", Json.String (cmd_to_string r.cmd));
-        ("kernel", Json.String r.kernel);
-        ("sizes", Json.List (List.map (fun n -> Json.Int n) r.sizes));
-        ("c_source", opt (fun s -> Json.String s) r.c_source);
-        ("arch", Json.String r.arch);
-        ("bandwidth", opt (fun n -> Json.Int n) r.bandwidth);
-        ("space", Json.String r.space);
-        ("time", Json.String r.time);
-        ("dataflow", opt (fun s -> Json.String s) r.dataflow);
-        ( "engine",
-          Json.String
-            (match r.engine with
-            | `Concrete -> "concrete"
-            | `Relational -> "relational") );
-        ( "adjacency",
-          Json.String
-            (match r.adjacency with `Inner_step -> "inner" | `Lex_step -> "lex")
-        );
-        ("window", Json.Int r.window);
-        ("strict", Json.Bool r.strict);
-        ("scale_dims", strings r.scale_dims);
-        ("params", strings r.params);
-        ("tensors", strings r.tensors);
-        ( "search",
-          Json.String
-            (match r.search with
-            | `Exhaustive -> "exhaustive"
-            | `Pruned -> "pruned"
-            | `Heuristic -> "heuristic") );
-        ("budget", opt (fun n -> Json.Int n) r.budget);
-        ("top", Json.Int r.top);
-        ("deadline_ms", opt (fun n -> Json.Int n) r.deadline_ms);
-        ("priority", Json.String (Admission.priority_to_string r.priority));
-        ( "format",
-          Json.String
-            (match r.format with `Json -> "json" | `Prometheus -> "prometheus")
-        );
-      ]
+      (List.map
+         (fun (Field f) -> (f.name, encode f.codec (f.get (pick f.inert))))
+         fields)
+
+  let to_json (r : t) : Json.t = encode_fields (fun _ -> r)
 
   type decode_error = Bad_field of string | Bad_version of int
 
@@ -204,191 +320,38 @@ module Request = struct
           version
 
   (* Total decode: unknown fields and type mismatches are errors, every
-     known field is optional except [cmd], null means "use the default". *)
+     known field is optional except [cmd], null means "use the default".
+     Fields decode in input order and the first error wins. *)
   let of_json (j : Json.t) : (t, decode_error) result =
-    let ( let* ) = Result.bind in
     let bad fmt = Printf.ksprintf (fun m -> Error (Bad_field m)) fmt in
-    let as_string k = function
-      | Json.String s -> Ok s
-      | _ -> bad "field %S must be a string" k
-    in
-    let as_int k = function
-      | Json.Int i -> Ok i
-      | _ -> bad "field %S must be an integer" k
-    in
-    let as_bool k = function
-      | Json.Bool b -> Ok b
-      | _ -> bad "field %S must be a boolean" k
-    in
-    let as_string_list k = function
-      | Json.List l ->
-          List.fold_left
-            (fun acc v ->
-              let* acc = acc in
-              let* s = as_string k v in
-              Ok (s :: acc))
-            (Ok []) l
-          |> Result.map List.rev
-      | _ -> bad "field %S must be a list of strings" k
-    in
-    let as_int_list k = function
-      | Json.List l ->
-          List.fold_left
-            (fun acc v ->
-              let* acc = acc in
-              let* i = as_int k v in
-              Ok (i :: acc))
-            (Ok []) l
-          |> Result.map List.rev
-      | _ -> bad "field %S must be a list of integers" k
+    let rec go r = function
+      | [] -> Ok r
+      | (_, Json.Null) :: rest -> go r rest
+      | (k, v) :: rest -> (
+          match Hashtbl.find_opt by_name k with
+          | None -> bad "unknown request field %S" k
+          | Some (Field f) -> (
+              match decode k f.codec v with
+              | Ok x -> go (f.set r x) rest
+              | Error m -> Error (Bad_field m)))
     in
     match j with
-    | Json.Obj fields ->
-        let* r =
-          List.fold_left
-            (fun acc (k, v) ->
-              let* r = acc in
-              if v = Json.Null then Ok r (* null = default *)
-              else
-                match k with
-                | "api_version" ->
-                    let* n = as_int k v in
-                    Ok { r with api_version = n }
-                | "id" ->
-                    let* s = as_string k v in
-                    Ok { r with id = s }
-                | "cmd" -> (
-                    let* s = as_string k v in
-                    match cmd_of_string s with
-                    | Some c -> Ok { r with cmd = c }
-                    | None ->
-                        Error
-                          (Bad_field
-                             (Tenet_util.Text.unknown ~what:"cmd" s known_cmds)))
-                | "kernel" ->
-                    let* s = as_string k v in
-                    Ok { r with kernel = s }
-                | "sizes" ->
-                    let* l = as_int_list k v in
-                    Ok { r with sizes = l }
-                | "c_source" ->
-                    let* s = as_string k v in
-                    Ok { r with c_source = Some s }
-                | "arch" ->
-                    let* s = as_string k v in
-                    Ok { r with arch = s }
-                | "bandwidth" ->
-                    let* n = as_int k v in
-                    Ok { r with bandwidth = Some n }
-                | "space" ->
-                    let* s = as_string k v in
-                    Ok { r with space = s }
-                | "time" ->
-                    let* s = as_string k v in
-                    Ok { r with time = s }
-                | "dataflow" ->
-                    let* s = as_string k v in
-                    Ok { r with dataflow = Some s }
-                | "engine" -> (
-                    let* s = as_string k v in
-                    match s with
-                    | "concrete" -> Ok { r with engine = `Concrete }
-                    | "relational" -> Ok { r with engine = `Relational }
-                    | _ ->
-                        Error
-                          (Bad_field
-                             (Tenet_util.Text.unknown ~what:"engine" s
-                                [ "concrete"; "relational" ])))
-                | "adjacency" -> (
-                    let* s = as_string k v in
-                    match s with
-                    | "inner" -> Ok { r with adjacency = `Inner_step }
-                    | "lex" -> Ok { r with adjacency = `Lex_step }
-                    | _ ->
-                        Error
-                          (Bad_field
-                             (Tenet_util.Text.unknown ~what:"adjacency" s
-                                [ "inner"; "lex" ])))
-                | "window" ->
-                    let* n = as_int k v in
-                    if n < 1 then bad "field \"window\" must be >= 1"
-                    else Ok { r with window = n }
-                | "strict" ->
-                    let* b = as_bool k v in
-                    Ok { r with strict = b }
-                | "scale_dims" ->
-                    let* l = as_string_list k v in
-                    Ok { r with scale_dims = l }
-                | "params" ->
-                    let* l = as_string_list k v in
-                    Ok { r with params = l }
-                | "tensors" ->
-                    let* l = as_string_list k v in
-                    Ok { r with tensors = l }
-                | "search" -> (
-                    let* s = as_string k v in
-                    match s with
-                    | "exhaustive" -> Ok { r with search = `Exhaustive }
-                    | "pruned" -> Ok { r with search = `Pruned }
-                    | "heuristic" -> Ok { r with search = `Heuristic }
-                    | _ ->
-                        Error
-                          (Bad_field
-                             (Tenet_util.Text.unknown ~what:"search" s
-                                [ "exhaustive"; "pruned"; "heuristic" ])))
-                | "budget" ->
-                    let* n = as_int k v in
-                    if n < 1 then bad "field \"budget\" must be >= 1"
-                    else Ok { r with budget = Some n }
-                | "top" ->
-                    let* n = as_int k v in
-                    if n < 0 then bad "field \"top\" must be >= 0"
-                    else Ok { r with top = n }
-                | "deadline_ms" ->
-                    let* n = as_int k v in
-                    if n < 0 then bad "field \"deadline_ms\" must be >= 0"
-                    else Ok { r with deadline_ms = Some n }
-                | "priority" -> (
-                    let* s = as_string k v in
-                    match Admission.priority_of_string s with
-                    | Some p -> Ok { r with priority = p }
-                    | None ->
-                        Error
-                          (Bad_field
-                             (Tenet_util.Text.unknown ~what:"priority" s
-                                Admission.known_priorities)))
-                | "format" -> (
-                    let* s = as_string k v in
-                    match s with
-                    | "json" -> Ok { r with format = `Json }
-                    | "prometheus" -> Ok { r with format = `Prometheus }
-                    | _ ->
-                        Error
-                          (Bad_field
-                             (Tenet_util.Text.unknown ~what:"format" s
-                                [ "json"; "prometheus" ])))
-                | k -> bad "unknown request field %S" k)
-            (Ok (default Analyze))
-            fields
-        in
-        let* () =
-          match List.assoc_opt "cmd" fields with
-          | Some _ -> Ok ()
-          | None -> bad "missing request field \"cmd\""
-        in
-        if r.api_version <> version then Error (Bad_version r.api_version)
-        else Ok r
+    | Json.Obj members -> (
+        match go (default Analyze) members with
+        | Error _ as e -> e
+        | Ok _ when not (List.mem_assoc "cmd" members) ->
+            bad "missing request field \"cmd\""
+        | Ok r when r.api_version <> version ->
+            Error (Bad_version r.api_version)
+        | Ok r -> Ok r)
     | _ -> bad "a request must be a JSON object"
 
-  (* The cache key: the canonical encoding with the semantically inert
-     fields blanked ([format] only changes the stats encoding, and stats
-     responses are never cached; [priority] only changes the admission
-     tier, never the result). *)
+  (* The cache key: the canonical encoding with the inert fields at
+     their defaults (which no cmd changes). *)
+  let blank = default Analyze
+
   let fingerprint (r : t) : string =
-    Json.to_string
-      (to_json
-         { r with id = ""; deadline_ms = None; priority = `Normal;
-           format = `Json })
+    Json.to_string (encode_fields (fun inert -> if inert then blank else r))
 end
 
 (* ------------------------------------------------------------------ *)
@@ -675,11 +638,19 @@ let cache_budget_bytes () =
    byte-identical to the run that produced them. *)
 type cached = Cached_body of Response.body | Cached_raw of string
 
-let global_cache : cached Cache.t Lazy.t =
-  lazy (Cache.create ~bytes:(cache_budget_bytes ()) ())
+(* Built on first use, not at module init, so a malformed budget fails
+   only the commands that serve.  First uses race on pool domains: the
+   compare-and-set keeps one cache and every racer returns it (a plain
+   [lazy] raises [CamlinternalLazy.Undefined] in the losers). *)
+let global_cache : cached Cache.t option Atomic.t = Atomic.make None
 
-let result_cache () = Lazy.force global_cache
-let cache_stats () = Cache.stats (result_cache ())
+let result_cache () =
+  match Atomic.get global_cache with
+  | Some c -> c
+  | None ->
+      let c = Cache.create ~bytes:(cache_budget_bytes ()) () in
+      if Atomic.compare_and_set global_cache None (Some c) then c
+      else Option.get (Atomic.get global_cache)
 
 (* ------------------------------------------------------------------ *)
 (* The persistent tier (Disk_cache): loaded under the same LRU, saved  *)
@@ -758,12 +729,6 @@ let save_disk_cache ~dir : int =
 
 let template_mutex = Mutex.create ()
 let template_cache : (string, M.Template.t) Hashtbl.t = Hashtbl.create 16
-
-let template_cache_entries () =
-  Mutex.lock template_mutex;
-  let n = Hashtbl.length template_cache in
-  Mutex.unlock template_mutex;
-  n
 
 let clear_cache () =
   Cache.clear (result_cache ());
@@ -886,8 +851,9 @@ let cache_tiers () : cache_tiers =
   let dir = !disk_dir and loaded = !disk_loaded in
   Mutex.unlock disk_mutex;
   {
-    result = cache_stats ();
-    template_entries = template_cache_entries ();
+    result = Cache.stats (result_cache ());
+    template_entries =
+      Mutex.protect template_mutex (fun () -> Hashtbl.length template_cache);
     template_hits = Obs.value c_template_cache_hits;
     template_misses = Obs.value c_template_cache_misses;
     tiers_disk_dir = dir;
@@ -1339,7 +1305,7 @@ let run (r : Request.t) : Response.t =
     Obs.with_trace ~trace:r.Request.id
     @@ fun () ->
     Obs.with_span
-      ~args:[ ("cmd", Request.cmd_to_string r.Request.cmd) ]
+      ~args:[ ("cmd", Request.cmd_name r.Request.cmd) ]
       "serve.request"
     @@ fun () ->
     let respond body =
@@ -1435,7 +1401,7 @@ let run (r : Request.t) : Response.t =
   Obs.observe_h h_latency latency_s;
   let body = resp.Response.body in
   Access_log.record ~id:r.Request.id ~trace:r.Request.id
-    ~cmd:(Request.cmd_to_string r.Request.cmd)
+    ~cmd:(Request.cmd_name r.Request.cmd)
     ~fingerprint:
       (if Access_log.enabled () && r.Request.cmd <> Request.Stats then
          Some (Digest.to_hex (Digest.string (Request.fingerprint r)))
@@ -1471,8 +1437,3 @@ let decode (j : Json.t) : (Request.t, Response.t) result =
         | Request.Bad_field _ -> Response.Bad_request
       in
       Error (Response.error ~id kind (Request.decode_error_message e))
-
-(* Decode a raw JSON request and run it: the shared core of the batch
-   runner, the server loop and the CLI.  Never raises. *)
-let run_json (j : Json.t) : Response.t =
-  match decode j with Ok r -> run r | Error resp -> resp

@@ -70,11 +70,10 @@ module Request : sig
   val default : cmd -> t
   (** The defaults mirror the CLI flag defaults. *)
 
-  val cmd_to_string : cmd -> string
-  val cmd_of_string : string -> cmd option
-
   val to_json : t -> Json.t
-  (** Canonical encoding: every field, fixed order, options as [null]. *)
+  (** Canonical encoding: every field, fixed order, options as [null].
+      The encoder, {!of_json} and {!fingerprint} derive from one table
+      of the wire fields. *)
 
   type decode_error = Bad_field of string | Bad_version of int
 
@@ -176,16 +175,12 @@ val run : Request.t -> Response.t
 (** Execute one request.  Never raises; see the module doc for deadline,
     error and caching semantics. *)
 
-val run_json : Json.t -> Response.t
-(** Decode and {!run} a raw JSON request; decode failures become
-    [Bad_request] / [Unsupported_version] error responses with the [id]
-    recovered from the raw object when possible. *)
-
 val decode : Json.t -> (Request.t, Response.t) result
-(** The decode half of {!run_json}: either the typed request or the
-    ready-to-send error response.  The server loops use it so admission
-    control and the inline-stats fast path match on typed requests
-    rather than raw JSON members. *)
+(** Either the typed request or the ready-to-send [Bad_request] /
+    [Unsupported_version] error response, with the [id] recovered from
+    the raw object when possible.  The server loops decode first so
+    admission control and the inline-stats fast path match on typed
+    requests rather than raw JSON members. *)
 
 (** {2 The result cache} *)
 
@@ -208,15 +203,6 @@ type cache_tiers = {
 
 val cache_tiers : unit -> cache_tiers
 val cache_tiers_json : cache_tiers -> Json.t
-
-val cache_stats : unit -> Cache.stats
-(** Deprecated: the result-LRU slice of {!cache_tiers}.  New callers
-    read [(cache_tiers ()).result]. *)
-
-val template_cache_entries : unit -> int
-(** Deprecated: the template slice of {!cache_tiers}.  Hits and misses
-    are on the [serve.template_cache_hits] /
-    [serve.template_cache_misses] counters. *)
 
 (** {2 The persistent tier}
 

@@ -6,7 +6,7 @@
    into this record: [default] is the compiled-in configuration,
    [load ()] layers the TENET_SERVE_* environment on top, and the CLI
    layers its flags on top of that.  [Server.run]/[run_batch] consume
-   the record; the legacy entrypoints survive as thin wrappers.
+   the record.
 
    Watermarks are stored as options ("not configured") and resolved
    against the queue limit on use: shedding of low-priority work starts
@@ -61,18 +61,18 @@ let env_int_opt ~min name base =
   | None | Some "" -> base
   | Some _ -> Some (env_int ~min name 0)
 
-let load ?(base = default) () =
+let load () =
   {
-    base with
-    queue_limit = env_int ~min:1 queue_env base.queue_limit;
-    workers = env_int ~min:1 workers_env base.workers;
-    worker_jobs = env_int ~min:0 worker_jobs_env base.worker_jobs;
+    default with
+    queue_limit = env_int ~min:1 queue_env default.queue_limit;
+    workers = env_int ~min:1 workers_env default.workers;
+    worker_jobs = env_int ~min:0 worker_jobs_env default.worker_jobs;
     cache_dir =
       (match Sys.getenv_opt cache_dir_env with
-      | None | Some "" -> base.cache_dir
+      | None | Some "" -> default.cache_dir
       | Some d -> Some d);
-    shed_low = env_int_opt ~min:1 shed_low_env base.shed_low;
-    shed_normal = env_int_opt ~min:1 shed_normal_env base.shed_normal;
+    shed_low = env_int_opt ~min:1 shed_low_env default.shed_low;
+    shed_normal = env_int_opt ~min:1 shed_normal_env default.shed_normal;
   }
 
 (* Resolved watermarks: clamped into [1, queue_limit] and ordered

@@ -29,9 +29,8 @@ val default : t
 (** The compiled-in configuration: queue 64, one in-process worker, no
     socket, no persistent cache, no access log. *)
 
-val load : ?base:t -> unit -> t
-(** [base] (default {!default}) with the [TENET_SERVE_*] environment
-    layered on top: [TENET_SERVE_QUEUE], [TENET_SERVE_WORKERS],
+val load : unit -> t
+(** {!default} with the [TENET_SERVE_*] environment layered on top: [TENET_SERVE_QUEUE], [TENET_SERVE_WORKERS],
     [TENET_SERVE_WORKER_JOBS], [TENET_SERVE_CACHE_DIR],
     [TENET_SERVE_SHED_LOW], [TENET_SERVE_SHED_NORMAL].  Raises
     [Failure] on a malformed value. *)

@@ -179,19 +179,6 @@ let shutdown (t : t) : unit =
       try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ())
     t.f_workers
 
-(* Split the buffer's complete lines off, keeping the partial tail. *)
-let drain_lines (buf : Buffer.t) : string list =
-  let s = Buffer.contents buf in
-  let rec go start acc =
-    match String.index_from_opt s start '\n' with
-    | Some i -> go (i + 1) (String.sub s start (i - start) :: acc)
-    | None ->
-        Buffer.clear buf;
-        Buffer.add_substring buf s start (String.length s - start);
-        List.rev acc
-  in
-  go 0 []
-
 let rec select_retry rds wrs timeout =
   match Unix.select rds wrs [] timeout with
   | exception Unix.Unix_error (Unix.EINTR, _, _) ->
@@ -202,18 +189,8 @@ let rec select_retry rds wrs timeout =
 (* Batch: round-robin fan-out, index-ordered reassembly.               *)
 (* ------------------------------------------------------------------ *)
 
-let read_lines (ic : in_channel) : string list =
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file -> List.rev acc
-  in
-  go []
-
 let batch (cfg : Config.t) (ic : in_channel) (oc : out_channel) : unit =
-  let lines =
-    List.filter (fun l -> not (Protocol.is_comment l)) (read_lines ic)
-  in
+  let lines = Protocol.read_requests ic in
   let n = List.length lines in
   if n = 0 then flush oc
   else begin
@@ -303,7 +280,7 @@ let batch (cfg : Config.t) (ic : in_channel) (oc : out_channel) : unit =
                 (fun line ->
                   responses.((received.(w) * nw) + w) <- line;
                   received.(w) <- received.(w) + 1)
-                (drain_lines ws.(w).w_rbuf)
+                (Protocol.drain_lines ws.(w).w_rbuf)
           | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
             ->
               ())
@@ -348,9 +325,6 @@ let write_all fd s =
 let session (t : t) (ic : in_channel) (oc : out_channel) : unit =
   let cfg = t.f_cfg in
   let ws = t.f_workers in
-  let queue_limit = cfg.Config.queue_limit in
-  let shed_low = Config.shed_low_watermark cfg in
-  let shed_normal = Config.shed_normal_watermark cfg in
   let pending : pending Queue.t = Queue.create () in
   let cin = Unix.descr_of_in_channel ic in
   let client_eof = ref false in
@@ -373,8 +347,7 @@ let session (t : t) (ic : in_channel) (oc : out_channel) : unit =
     Admission.note reason;
     respond
       (Api.Response.error ~id Api.Response.Overloaded
-         (Admission.message ~queue_limit ~shed_low ~shed_normal ~waited_ms
-            reason))
+         (Admission.message cfg ~waited_ms reason))
   in
   (* Fail a dead worker's outstanding requests: the client gets a real
      response for each (never silence), the fleet keeps serving. *)
@@ -443,8 +416,7 @@ let session (t : t) (ic : in_channel) (oc : out_channel) : unit =
       | Ok req -> (
           let depth = Queue.length pending in
           match
-            Admission.decide ~queue_limit ~shed_low ~shed_normal ~depth
-              ~priority:req.Api.Request.priority
+            Admission.decide cfg ~depth ~priority:req.Api.Request.priority
           with
           | Admission.Shed reason ->
               shed reason ~id:req.Api.Request.id ~waited_ms:0.
@@ -454,7 +426,7 @@ let session (t : t) (ic : in_channel) (oc : out_channel) : unit =
                   p_line = line;
                   p_req = req;
                   p_enqueued = Obs.now ();
-                  p_pressure = depth >= shed_low;
+                  p_pressure = Admission.under_pressure cfg ~depth;
                 }
                 pending)
   in
@@ -494,7 +466,7 @@ let session (t : t) (ic : in_channel) (oc : out_channel) : unit =
               | 0 -> client_eof := true
               | k ->
                   Buffer.add_subbytes client_buf chunk 0 k;
-                  List.iter handle_client_line (drain_lines client_buf)
+                  List.iter handle_client_line (Protocol.drain_lines client_buf)
               | exception
                   Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
                   ())
@@ -520,7 +492,7 @@ let session (t : t) (ic : in_channel) (oc : out_channel) : unit =
                           ignore (Queue.pop w.w_outstanding);
                           w.w_inflight <- w.w_inflight - 1;
                           respond_line line)
-                        (drain_lines w.w_rbuf)
+                        (Protocol.drain_lines w.w_rbuf)
                   | exception
                       Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
                     ->

@@ -1,22 +1,8 @@
 (** JSON-lines framing for the serve protocol: one request object per
     line in, one response object per line out (docs/serving.md). *)
 
-module Json = Tenet_obs.Json
-
 val is_comment : string -> bool
 (** Blank lines and ['#']-prefixed lines carry no request. *)
-
-val parse_line : string -> (Json.t, Api.Response.t) result
-(** [Error] carries the ready-to-send [Bad_request] response for a line
-    that is not valid JSON. *)
-
-val request_id : Json.t -> string
-(** The raw object's ["id"] when it is a string, [""] otherwise. *)
-
-val is_stats : Json.t -> bool
-(** Deprecated: the stringly-typed stats probe on raw JSON.  The server
-    loops now decode first with {!parse_request} and match the typed
-    [cmd] instead. *)
 
 val parse_request : string -> (Api.Request.t, Api.Response.t) result
 (** Total decode of one line to a typed request; [Error] carries the
@@ -29,3 +15,11 @@ val response_line : Api.Response.t -> string
 
 val handle_line : string -> Api.Response.t
 (** Parse and run one request line.  Never raises. *)
+
+val read_requests : in_channel -> string list
+(** Every request line up to end of file, blank and ['#'] lines
+    skipped. *)
+
+val drain_lines : Buffer.t -> string list
+(** Split the complete lines (newline dropped) off the front of a read
+    buffer, leaving the unterminated tail in it. *)

@@ -41,17 +41,23 @@ module Config = Config
 (* Same cell as the one [Api.stats_payload] reports quantiles for. *)
 let h_queue_wait = Obs.histogram "serve.queue_wait"
 
-(* OCaml's default SIGPIPE disposition terminates the whole process, so
-   without this a client that disconnects while a response is being
-   written would kill the persistent server.  Ignoring the signal makes
-   broken-pipe writes surface as catchable [Sys_error] / [Unix_error]
-   instead (the handlers around the serve loops rely on this).  Windows
-   has no SIGPIPE; [set_signal] raising there is harmless. *)
-let ignore_sigpipe () =
-  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-  with Invalid_argument _ | Sys_error _ -> ()
+(* Entry behaviour shared by every runner.
 
-let default_queue_limit () = (Config.load ()).Config.queue_limit
+   OCaml's default SIGPIPE disposition terminates the whole process, so
+   without ignoring it a client that disconnects while a response is
+   being written would kill the persistent server.  Ignoring the signal
+   makes broken-pipe writes surface as catchable [Sys_error] /
+   [Unix_error] instead (the handlers around the serve loops rely on
+   this).  Windows has no SIGPIPE; [set_signal] raising there is
+   harmless.
+
+   Telemetry is always on for the runners: responses never embed it
+   (stats is pull-only), recording is bounded (span ring buffer), and a
+   batch/serve process without it cannot be observed at all. *)
+let enter () =
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ | Sys_error _ -> ());
+  if not (Obs.enabled ()) then Obs.enable ()
 
 (* Load the persistent tier, if configured.  Damaged or missing caches
    load as empty; only a malformed directory path is a real error. *)
@@ -74,19 +80,10 @@ let save_persistent (cfg : Config.t) : unit =
 (* Batch.                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let read_lines (ic : in_channel) : string list =
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file -> List.rev acc
-  in
-  go []
-
 let batch_single (ic : in_channel) (oc : out_channel) : unit =
-  let lines =
-    List.filter (fun l -> not (Protocol.is_comment l)) (read_lines ic)
+  let responses =
+    Parallel.map Protocol.handle_line (Protocol.read_requests ic)
   in
-  let responses = Parallel.map Protocol.handle_line lines in
   List.iter
     (fun resp ->
       output_string oc (Protocol.response_line resp);
@@ -96,11 +93,7 @@ let batch_single (ic : in_channel) (oc : out_channel) : unit =
 
 let run_batch (cfg : Config.t) (ic : in_channel) (oc : out_channel) : unit =
   Config.validate cfg;
-  ignore_sigpipe ();
-  (* Telemetry is always on for the runners: responses never embed it
-     (stats is pull-only), recording is bounded (span ring buffer), and
-     a batch/serve process without it cannot be observed at all. *)
-  if not (Obs.enabled ()) then Obs.enable ();
+  enter ();
   load_persistent cfg;
   if cfg.Config.workers > 1 then
     (* forks: must come before any domain spawn, hence before any
@@ -111,10 +104,6 @@ let run_batch (cfg : Config.t) (ic : in_channel) (oc : out_channel) : unit =
     save_persistent cfg
   end
 
-let batch (ic : in_channel) (oc : out_channel) : unit =
-  (* legacy entry point: fixed defaults, in-process, no persistence *)
-  run_batch Config.default ic oc
-
 (* ------------------------------------------------------------------ *)
 (* Serve.                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -122,12 +111,9 @@ let batch (ic : in_channel) (oc : out_channel) : unit =
 (* The in-process session (workers = 1): requests go straight onto the
    domain pool's bounded queue; admission reads the pool's waiting
    count as its depth. *)
-let serve_session (cfg : Config.t) (ic : in_channel) (oc : out_channel) :
-    unit =
-  let queue_limit = cfg.Config.queue_limit in
-  let shed_low = Config.shed_low_watermark cfg in
-  let shed_normal = Config.shed_normal_watermark cfg in
-  Parallel.set_queue_limit queue_limit;
+let session (cfg : Config.t) (ic : in_channel) (oc : out_channel) : unit =
+  enter ();
+  Parallel.set_queue_limit cfg.Config.queue_limit;
   let write_mutex = Mutex.create () in
   let respond resp =
     (* [Fun.protect]: a failed write (disconnected client) must release
@@ -168,8 +154,7 @@ let serve_session (cfg : Config.t) (ic : in_channel) (oc : out_channel) :
     Admission.note reason;
     respond
       (Api.Response.error ~id Api.Response.Overloaded
-         (Admission.message ~queue_limit ~shed_low ~shed_normal ~waited_ms
-            reason))
+         (Admission.message cfg ~waited_ms reason))
   in
   let rec loop () =
     match input_line ic with
@@ -184,8 +169,7 @@ let serve_session (cfg : Config.t) (ic : in_channel) (oc : out_channel) :
         | Ok req -> (
             let depth = Parallel.waiting () in
             match
-              Admission.decide ~queue_limit ~shed_low ~shed_normal ~depth
-                ~priority:req.Api.Request.priority
+              Admission.decide cfg ~depth ~priority:req.Api.Request.priority
             with
             | Admission.Shed reason ->
                 shed reason ~id:req.Api.Request.id ~waited_ms:0.
@@ -196,7 +180,7 @@ let serve_session (cfg : Config.t) (ic : in_channel) (oc : out_channel) :
                    in under a calm queue keeps its deadline semantics
                    (TN013 partial response), one admitted under
                    pressure may shed at dispatch instead *)
-                let pressure = depth >= shed_low in
+                let pressure = Admission.under_pressure cfg ~depth in
                 let task () =
                   (* Queue wait: submission to start of execution.
                      Stashed for the access log before the request runs
@@ -229,8 +213,7 @@ let serve_session (cfg : Config.t) (ic : in_channel) (oc : out_channel) :
 
 let run (cfg : Config.t) : unit =
   Config.validate cfg;
-  ignore_sigpipe ();
-  if not (Obs.enabled ()) then Obs.enable ();
+  enter ();
   (match cfg.Config.access_log with
   | Some path when cfg.Config.workers = 1 ->
       (* fleet workers configure their own per-process sinks *)
@@ -241,7 +224,7 @@ let run (cfg : Config.t) : unit =
   | None ->
       if cfg.Config.workers > 1 then Fleet.serve cfg stdin stdout
       else begin
-        serve_session cfg stdin stdout;
+        session cfg stdin stdout;
         save_persistent cfg
       end
   | Some path ->
@@ -250,11 +233,11 @@ let run (cfg : Config.t) : unit =
       let fleet =
         if cfg.Config.workers > 1 then Some (Fleet.create cfg) else None
       in
-      let session ic oc =
+      let serve_client ic oc =
         match fleet with
         | Some t -> Fleet.session t ic oc
         | None ->
-            serve_session cfg ic oc;
+            session cfg ic oc;
             save_persistent cfg
       in
       let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -274,38 +257,8 @@ let run (cfg : Config.t) : unit =
             let fd, _ = Unix.accept sock in
             let ic = Unix.in_channel_of_descr fd in
             let oc = Unix.out_channel_of_descr fd in
-            (try session ic oc with End_of_file | Sys_error _ -> ());
+            (try serve_client ic oc with End_of_file | Sys_error _ -> ());
             (try Unix.close fd with Unix.Unix_error _ -> ());
             accept_loop ()
           in
           accept_loop ())
-
-(* ------------------------------------------------------------------ *)
-(* Legacy entry points: thin wrappers over the config record.  They    *)
-(* pin [workers = 1] (they predate the fleet and may be called after   *)
-(* domains were spawned, when forking is impossible) and leave the     *)
-(* persistent tier off unless TENET_SERVE_CACHE_DIR asks for it.       *)
-(* ------------------------------------------------------------------ *)
-
-let wrapper_config ?queue_limit () : Config.t =
-  let base = Config.load () in
-  let base =
-    match queue_limit with
-    | Some q -> { base with Config.queue_limit = q }
-    | None -> base
-  in
-  { base with Config.workers = 1; socket = None; cache_dir = None }
-
-let serve_channels ?queue_limit (ic : in_channel) (oc : out_channel) : unit =
-  let cfg = wrapper_config ?queue_limit () in
-  ignore_sigpipe ();
-  if not (Obs.enabled ()) then Obs.enable ();
-  serve_session cfg ic oc
-
-let serve_socket ?queue_limit ~path () : unit =
-  let cfg = wrapper_config ?queue_limit () in
-  run { cfg with Config.socket = Some path }
-
-let serve ?queue_limit ?socket () : unit =
-  let cfg = wrapper_config ?queue_limit () in
-  run { cfg with Config.socket = socket }

@@ -3,10 +3,9 @@
     protocol, the admission watermarks and the deadline/overload
     semantics.
 
-    Both entry points take one {!Config.t} record; {!Config.load}
+    Every entry point takes one {!Config.t} record; {!Config.load}
     layers the TENET_SERVE_* environment over the defaults and the CLI
-    layers its flags on top.  The pre-config entry points at the bottom
-    survive as thin wrappers. *)
+    layers its flags on top. *)
 
 module Config = Config
 
@@ -34,31 +33,11 @@ val run_batch : Config.t -> in_channel -> out_channel -> unit
     With [cache_dir] set, loads the persistent cache first and merges
     it back after (each fleet worker merges its own slice). *)
 
-(** {2 Legacy entry points}
-
-    Thin wrappers over {!run} / {!run_batch} from before the config
-    record.  They pin [workers = 1] — they predate the fleet and may be
-    called after domains were spawned, when forking is impossible — and
-    never touch the persistent tier. *)
-
-val default_queue_limit : unit -> int
-(** The bound on waiting requests: [TENET_SERVE_QUEUE], default 64.
-    Raises [Failure] on a malformed value.  (Now just
-    [(Config.load ()).queue_limit].) *)
-
-val batch : in_channel -> out_channel -> unit
-(** [run_batch Config.default]: in-process, no persistence. *)
-
-val serve_channels : ?queue_limit:int -> in_channel -> out_channel -> unit
-(** One in-process serving session on explicit channels; queue limit
-    from the argument, else the environment.  SIGPIPE is ignored on
-    entry, so a client disconnecting mid-response surfaces as a
-    catchable I/O error rather than terminating the process. *)
-
-val serve_socket : ?queue_limit:int -> path:string -> unit -> unit
-(** Listen on a Unix socket, serving one in-process JSON-lines
-    connection at a time.  Removes [path] on exit. *)
-
-val serve : ?queue_limit:int -> ?socket:string -> unit -> unit
-(** [serve ()] runs over stdin/stdout; with [~socket] it listens there
-    instead. *)
+val session : Config.t -> in_channel -> out_channel -> unit
+(** One in-process serving session ([workers = 1]) on explicit
+    channels, returning once the input ends and every admitted request
+    has been answered; {!run} runs one per connection.  Like every
+    runner it ignores SIGPIPE, so a client disconnecting mid-response
+    surfaces as a catchable I/O error rather than terminating the
+    process, and turns telemetry on.  The persistent tier is not
+    touched. *)

@@ -42,22 +42,67 @@ let small_analyze ?(id = "") ?deadline_ms ?(sizes = [ 8; 8; 8 ]) () =
 
 (* --- request codec --- *)
 
+(* Byte pins for the canonical encoding.  Fingerprints key the
+   persistent disk cache, so a renamed, reordered or re-defaulted field
+   would orphan every stored entry. *)
+let default_wire cmd =
+  {|{"api_version":1,"id":"","cmd":"|} ^ cmd
+  ^ {|","kernel":"gemm","sizes":[64,64,64],"c_source":null,"arch":"tpu-8x8-systolic","bandwidth":null,"space":"i%8,j%8","time":"i/8,j/8,i%8+j%8+k","dataflow":null,"engine":"concrete","adjacency":"inner","window":1,"strict":false,"scale_dims":[],"params":[],"tensors":[],"search":"exhaustive","budget":null,"top":10,"deadline_ms":null,"priority":"normal","format":"json"}|}
+
+(* One request with every field off its default. *)
+let every_field_set =
+  {
+    (Api.Request.default Api.Request.Dse) with
+    Api.Request.id = "all";
+    kernel = "conv";
+    sizes = [ 4; 2; 4; 4; 3; 3 ];
+    c_source = Some "for (i = 0; i < 2; i++) Y[i] += A[i];";
+    arch = "eyeriss-12x14";
+    bandwidth = Some 16;
+    space = "k%8,c%8";
+    time = "k/8,c/8,ox";
+    dataflow = Some "KC-P";
+    engine = `Relational;
+    adjacency = `Lex_step;
+    window = 3;
+    strict = true;
+    scale_dims = [ "ox"; "oy" ];
+    params = [ "k" ];
+    tensors = [ "I"; "W" ];
+    search = `Heuristic;
+    budget = Some 7;
+    top = 2;
+    deadline_ms = Some 250;
+    priority = `Low;
+    format = `Prometheus;
+  }
+
+let every_field_wire =
+  {|{"api_version":1,"id":"all","cmd":"dse","kernel":"conv","sizes":[4,2,4,4,3,3],"c_source":"for (i = 0; i < 2; i++) Y[i] += A[i];","arch":"eyeriss-12x14","bandwidth":16,"space":"k%8,c%8","time":"k/8,c/8,ox","dataflow":"KC-P","engine":"relational","adjacency":"lex","window":3,"strict":true,"scale_dims":["ox","oy"],"params":["k"],"tensors":["I","W"],"search":"heuristic","budget":7,"top":2,"deadline_ms":250,"priority":"low","format":"prometheus"}|}
+
 let test_request_roundtrip_defaults () =
+  let roundtrip r =
+    match Api.Request.of_json (Api.Request.to_json r) with
+    | Ok r' -> check_bool "roundtrip" true (r = r')
+    | Error e -> Alcotest.fail (Api.Request.decode_error_message e)
+  in
   List.iter
-    (fun cmd ->
+    (fun (cmd, name) ->
       let r = Api.Request.default cmd in
+      check_string ("canonical " ^ name) (default_wire name)
+        (Json.to_string (Api.Request.to_json r));
       (* [cmd] is the one required field, and default ids are empty *)
-      match Api.Request.of_json (Api.Request.to_json r) with
-      | Ok r' -> check_bool "roundtrip" true (r = r')
-      | Error e ->
-          Alcotest.fail (Api.Request.decode_error_message e))
+      roundtrip r)
     [
-      Api.Request.Analyze;
-      Api.Request.Volumes;
-      Api.Request.Dse;
-      Api.Request.Check;
-      Api.Request.Stats;
-    ]
+      (Api.Request.Analyze, "analyze");
+      (Api.Request.Volumes, "volumes");
+      (Api.Request.Dse, "dse");
+      (Api.Request.Check, "check");
+      (Api.Request.Stats, "stats");
+    ];
+  check_string "canonical, every field set" every_field_wire
+    (Json.to_string (Api.Request.to_json every_field_set));
+  roundtrip every_field_set
 
 (* Every Table III triple: a request naming the subject's kernel, arch
    and zoo dataflow survives the codec unchanged. *)
@@ -86,40 +131,73 @@ let test_request_roundtrip_zoo () =
           Alcotest.fail (Api.Request.decode_error_message e))
     subjects
 
+(* Decode error messages, byte for byte: [(request line, message)]. *)
+let check_decode_errors cases =
+  List.iter
+    (fun (line, want) ->
+      match Api.Request.of_json (Json.parse line) with
+      | Ok _ -> Alcotest.failf "accepted %s" line
+      | Error e ->
+          check_string line want (Api.Request.decode_error_message e))
+    cases
+
 let test_request_unknown_field () =
-  match
-    Api.Request.of_json
-      (Json.Obj [ ("cmd", Json.String "analyze"); ("bogus", Json.Int 1) ])
-  with
-  | Ok _ -> Alcotest.fail "unknown field accepted"
-  | Error e ->
-      check_bool "names the field" true
-        (contains (Api.Request.decode_error_message e) "bogus")
+  (* fields are decoded in input order and the first error wins; the
+     version is only judged once every field decoded *)
+  check_decode_errors
+    [
+      ({|{"cmd":"analyze","bogus":1}|}, {|unknown request field "bogus"|});
+      ({|{"bogus":1,"window":0}|}, {|unknown request field "bogus"|});
+      ({|{"window":0,"bogus":1}|}, {|field "window" must be >= 1|});
+      ({|{"api_version":2,"bogus":1}|}, {|unknown request field "bogus"|});
+    ]
 
 let test_request_missing_cmd () =
-  match Api.Request.of_json (Json.Obj [ ("id", Json.String "x") ]) with
-  | Ok _ -> Alcotest.fail "missing cmd accepted"
-  | Error e ->
-      check_bool "names cmd" true
-        (contains (Api.Request.decode_error_message e) "cmd")
+  check_decode_errors
+    [
+      ({|{"id":"x"}|}, {|missing request field "cmd"|});
+      ({|[1,2]|}, "a request must be a JSON object");
+    ]
 
 let test_request_bad_version () =
-  match
-    Api.Request.of_json
-      (Json.Obj [ ("cmd", Json.String "stats"); ("api_version", Json.Int 9) ])
-  with
+  (match
+     Api.Request.of_json
+       (Json.Obj [ ("cmd", Json.String "stats"); ("api_version", Json.Int 9) ])
+   with
   | Error (Api.Request.Bad_version 9) -> ()
-  | Ok _ | Error _ -> Alcotest.fail "expected Bad_version 9"
+  | Ok _ | Error _ -> Alcotest.fail "expected Bad_version 9");
+  check_decode_errors
+    [
+      ( {|{"cmd":"stats","api_version":9}|},
+        "unsupported api_version 9 (this server speaks version 1)" );
+    ]
 
 let test_request_type_mismatch () =
-  match
-    Api.Request.of_json
-      (Json.Obj [ ("cmd", Json.String "analyze"); ("window", Json.String "x") ])
-  with
-  | Ok _ -> Alcotest.fail "type mismatch accepted"
-  | Error e ->
-      check_bool "names window" true
-        (contains (Api.Request.decode_error_message e) "window")
+  check_decode_errors
+    [
+      (* wrong types, and a wrong list element *)
+      ({|{"cmd":"analyze","kernel":3}|}, {|field "kernel" must be a string|});
+      ( {|{"cmd":"analyze","window":"x"}|},
+        {|field "window" must be an integer|} );
+      ({|{"cmd":"analyze","strict":1}|}, {|field "strict" must be a boolean|});
+      ( {|{"cmd":"analyze","sizes":8}|},
+        {|field "sizes" must be a list of integers|} );
+      ( {|{"cmd":"analyze","sizes":[8,"8",8]}|},
+        {|field "sizes" must be an integer|} );
+      ( {|{"cmd":"analyze","tensors":"A"}|},
+        {|field "tensors" must be a list of strings|} );
+      ( {|{"cmd":"analyze","tensors":["A",1]}|},
+        {|field "tensors" must be a string|} );
+      ( {|{"cmd":"analyze","budget":1.5}|},
+        {|field "budget" must be an integer|} );
+      ({|{"cmd":"analyze","engine":true}|}, {|field "engine" must be a string|});
+      (* each minimum *)
+      ({|{"cmd":"analyze","window":0}|}, {|field "window" must be >= 1|});
+      ({|{"cmd":"dse","budget":0}|}, {|field "budget" must be >= 1|});
+      ({|{"cmd":"dse","top":-1}|}, {|field "top" must be >= 0|});
+      ( {|{"cmd":"analyze","deadline_ms":-1}|},
+        {|field "deadline_ms" must be >= 0|} );
+    ]
 
 let test_fingerprint_ignores_inert_fields () =
   let a = small_analyze ~id:"a" ~deadline_ms:5 () in
@@ -132,7 +210,12 @@ let test_fingerprint_ignores_inert_fields () =
   (* priority steers admission, never the result: same cache key *)
   let hi = { a with Api.Request.priority = `High } in
   check_string "priority blanked" (Api.Request.fingerprint a)
-    (Api.Request.fingerprint hi)
+    (Api.Request.fingerprint hi);
+  (* the disk-cache key, pinned: the canonical bytes with id,
+     deadline_ms, priority and format at their defaults *)
+  check_string "fingerprint bytes"
+    {|{"api_version":1,"id":"","cmd":"dse","kernel":"conv","sizes":[4,2,4,4,3,3],"c_source":"for (i = 0; i < 2; i++) Y[i] += A[i];","arch":"eyeriss-12x14","bandwidth":16,"space":"k%8,c%8","time":"k/8,c/8,ox","dataflow":"KC-P","engine":"relational","adjacency":"lex","window":3,"strict":true,"scale_dims":["ox","oy"],"params":["k"],"tensors":["I","W"],"search":"heuristic","budget":7,"top":2,"deadline_ms":null,"priority":"normal","format":"json"}|}
+    (Api.Request.fingerprint every_field_set)
 
 let test_request_priority_codec () =
   (* encoded on the wire... *)
@@ -154,16 +237,31 @@ let test_request_priority_codec () =
   (match Api.Request.of_json (Json.Obj [ ("cmd", Json.String "analyze") ]) with
   | Ok r -> check_bool "default normal" true (r.Api.Request.priority = `Normal)
   | Error e -> Alcotest.fail (Api.Request.decode_error_message e));
-  (* ...and unknown tiers are refused, naming the candidates *)
-  match
-    Api.Request.of_json
-      (Json.Obj
-         [ ("cmd", Json.String "analyze"); ("priority", Json.String "urgent") ])
-  with
-  | Ok _ -> Alcotest.fail "unknown priority accepted"
-  | Error e ->
-      let msg = Api.Request.decode_error_message e in
-      check_bool "names the field" true (contains msg "priority")
+  (* ...and unknown tiers are refused, naming the candidates; every enum
+     field refuses unknown names the same way, listing the known names
+     in wire order, plus a suggestion for a near miss *)
+  check_decode_errors
+    [
+      ( {|{"cmd":"analyze","priority":"urgent"}|},
+        "unknown priority urgent (known: high, normal, low)." );
+      ( {|{"cmd":"analyze","priority":"hihg"}|},
+        "unknown priority hihg (known: high, normal, low).  Did you mean \
+         high?" );
+      ( {|{"cmd":"analyse"}|},
+        "unknown cmd analyse (known: analyze, volumes, dse, check, \
+         stats).  Did you mean analyze?" );
+      ( {|{"cmd":"analyze","engine":"concrte"}|},
+        "unknown engine concrte (known: concrete, relational).  Did you \
+         mean concrete?" );
+      ( {|{"cmd":"analyze","adjacency":"lexx"}|},
+        "unknown adjacency lexx (known: inner, lex).  Did you mean lex?" );
+      ( {|{"cmd":"dse","search":"prunned"}|},
+        "unknown search prunned (known: exhaustive, pruned, heuristic).  \
+         Did you mean pruned?" );
+      ( {|{"cmd":"stats","format":"jsno"}|},
+        "unknown format jsno (known: json, prometheus).  Did you mean json?"
+      );
+    ]
 
 (* --- config --- *)
 
@@ -235,7 +333,15 @@ let test_config_watermarks () =
 (* --- admission --- *)
 
 let test_admission_decide () =
-  let decide = Admission.decide ~queue_limit:10 ~shed_low:4 ~shed_normal:8 in
+  let cfg =
+    {
+      Config.default with
+      Config.queue_limit = 10;
+      shed_low = Some 4;
+      shed_normal = Some 8;
+    }
+  in
+  let decide = Admission.decide cfg in
   check_bool "calm queue admits low" true
     (decide ~depth:0 ~priority:`Low = Admission.Admit);
   check_bool "low sheds at its watermark" true
@@ -257,8 +363,7 @@ let test_admission_decide () =
   (* the hard-limit message keeps the legacy bytes *)
   check_string "legacy overload message"
     "work queue is full (limit 10); retry later or raise TENET_SERVE_QUEUE"
-    (Admission.message ~queue_limit:10 ~shed_low:4 ~shed_normal:8
-       ~waited_ms:0. Admission.Hard_limit);
+    (Admission.message cfg ~waited_ms:0. Admission.Hard_limit);
   (* expiry-in-queue needs a positive deadline actually exceeded *)
   check_bool "no deadline, no expiry" false
     (Admission.expired_in_queue ~deadline_ms:None ~waited_ms:1e6);
@@ -327,11 +432,11 @@ let test_cache_oversized_and_disabled () =
 let test_cache_hit_byte_identical () =
   Api.clear_cache ();
   let r = small_analyze ~id:"dup" ~sizes:[ 12; 12; 12 ] () in
-  let before = (Api.cache_stats ()).Cache.hits in
+  let before = (Api.cache_tiers ()).Api.result.Cache.hits in
   let l1 = Protocol.response_line (Api.run r) in
   let l2 = Protocol.response_line (Api.run r) in
   check_string "byte-identical" l1 l2;
-  check_int "one hit" (before + 1) (Api.cache_stats ()).Cache.hits;
+  check_int "one hit" (before + 1) (Api.cache_tiers ()).Api.result.Cache.hits;
   check_bool "a real payload" true (contains l1 "\"kind\":\"metrics\"")
 
 (* --- the template cache tier --- *)
@@ -347,7 +452,7 @@ let metrics_of_response (resp : Api.Response.t) =
    forms. *)
 let test_template_cache_tier () =
   Api.clear_cache ();
-  check_int "tier starts empty" 0 (Api.template_cache_entries ());
+  check_int "tier starts empty" 0 (Api.cache_tiers ()).Api.template_entries;
   let parametric ~id sizes =
     {
       (small_analyze ~id ~sizes ()) with
@@ -358,7 +463,7 @@ let test_template_cache_tier () =
   check_bool "closed forms rendered" true (contains line1 "closed_forms");
   let r2 = parametric ~id:"p2" [ 48; 40; 56 ] in
   let m2, forms2 = metrics_of_response (Api.run r2) in
-  check_int "one template serves both sizes" 1 (Api.template_cache_entries ());
+  check_int "one template serves both sizes" 1 (Api.cache_tiers ()).Api.template_entries;
   check_bool "second size has forms too" true (forms2 <> []);
   let plain, no_forms =
     metrics_of_response (Api.run (small_analyze ~id:"p3" ~sizes:[ 48; 40; 56 ] ()))
@@ -402,7 +507,7 @@ let test_errors_not_cached () =
   in
   let resp = Api.run r in
   check_bool "is error" true (Api.Response.is_error resp);
-  check_int "nothing stored" 0 (Api.cache_stats ()).Cache.entries
+  check_int "nothing stored" 0 (Api.cache_tiers ()).Api.result.Cache.entries
 
 (* --- the persistent tier --- *)
 
@@ -473,17 +578,17 @@ let test_warm_restart_byte_identical () =
   let saved = Api.save_disk_cache ~dir in
   check_bool "saved the entry" true (saved >= 1);
   Api.clear_cache ();
-  check_int "memory is cold" 0 (Api.cache_stats ()).Cache.entries;
+  check_int "memory is cold" 0 (Api.cache_tiers ()).Api.result.Cache.entries;
   let loaded = Api.load_disk_cache ~dir in
   check_int "loaded what was saved" saved loaded;
   let tiers = Api.cache_tiers () in
   check_int "stats report the load" loaded tiers.Api.disk_entries_loaded;
   check_bool "stats report the dir" true
     (tiers.Api.tiers_disk_dir = Some dir);
-  let hits0 = (Api.cache_stats ()).Cache.hits in
+  let hits0 = (Api.cache_tiers ()).Api.result.Cache.hits in
   let line2 = Protocol.response_line (Api.run r) in
   check_string "byte-identical across restart" line1 line2;
-  check_int "served from cache" (hits0 + 1) (Api.cache_stats ()).Cache.hits
+  check_int "served from cache" (hits0 + 1) (Api.cache_tiers ()).Api.result.Cache.hits
 
 (* Tampered or damaged entries are rejected at load, never replayed. *)
 let test_disk_cache_tamper_rejected () =
@@ -575,14 +680,14 @@ let test_deadline_ok_not_cached () =
      different (or no) deadline *)
   let r = small_analyze ~id:"dl-nc" ~deadline_ms:1 () in
   let _ = with_fake_clock (fun () -> Api.run r) in
-  check_int "warned body not stored" 0 (Api.cache_stats ()).Cache.entries;
+  check_int "warned body not stored" 0 (Api.cache_tiers ()).Api.result.Cache.entries;
   let clean = Api.run { r with Api.Request.deadline_ms = None } in
   check_bool "no inherited TN013" true
     (not
        (List.exists
           (fun d -> d.An.Diagnostic.code = "TN013")
           clean.Api.Response.body.Api.Response.diagnostics));
-  check_int "clean body stored" 1 (Api.cache_stats ()).Cache.entries
+  check_int "clean body stored" 1 (Api.cache_tiers ()).Api.result.Cache.entries
 
 (* --- error classification --- *)
 
@@ -645,7 +750,7 @@ let test_worker_survives_raising_task () =
 (* --- protocol --- *)
 
 let test_protocol_malformed_line () =
-  (match Protocol.parse_line "not json at all" with
+  (match Protocol.parse_request "not json at all" with
   | Ok _ -> Alcotest.fail "parsed garbage"
   | Error resp ->
       check_bool "is error" true (Api.Response.is_error resp);
@@ -688,7 +793,7 @@ let run_batch_to_string lines =
       List.iter (fun l -> output_string oc (l ^ "\n")) lines;
       close_out oc;
       let ic = open_in in_file and oc = open_out out_file in
-      Server.batch ic oc;
+      Server.run_batch Config.default ic oc;
       close_in ic;
       close_out oc;
       let ic = open_in out_file in
@@ -774,7 +879,9 @@ let test_serve_overload () =
             Domain.spawn (fun () ->
                 let ic = Unix.in_channel_of_descr req_in in
                 let oc = Unix.out_channel_of_descr resp_out in
-                Server.serve_channels ~queue_limit:1 ic oc;
+                Server.session
+                  { Config.default with Config.queue_limit = 1 }
+                  ic oc;
                 close_out oc)
           in
           let oc = Unix.out_channel_of_descr req_out in
@@ -869,7 +976,9 @@ let test_stats_prometheus () =
   Api.clear_cache ();
   ignore (Api.run (small_analyze ~id:"pm1" ~sizes:[ 11; 11; 11 ] ()));
   (* through the wire format, as a client would ask *)
-  let resp = Api.run_json (Json.parse {|{"cmd":"stats","id":"pm","format":"prometheus"}|}) in
+  let resp =
+    Protocol.handle_line {|{"cmd":"stats","id":"pm","format":"prometheus"}|}
+  in
   match resp.Api.Response.body.Api.Response.payload with
   | Some (Api.Response.Stats j) ->
       check_bool "payload says prometheus" true
@@ -903,7 +1012,7 @@ let test_queue_wait_recorded () =
     Domain.spawn (fun () ->
         let ic = Unix.in_channel_of_descr req_in in
         let oc = Unix.out_channel_of_descr resp_out in
-        Server.serve_channels ic oc;
+        Server.session Config.default ic oc;
         close_out oc)
   in
   let oc = Unix.out_channel_of_descr req_out in
