@@ -34,7 +34,10 @@ let explore_layer (spec : Arch.Spec.t) (layer : W.layer) =
   let op = layer.W.op in
   let cands = Dse.candidates_2d op ~p:8 in
   let probe = probe_of op in
-  let screened = Dse.evaluate_all ~objective:Dse.Latency spec probe cands in
+  let screened =
+    (Dse.search ~mode:Dse.Exhaustive ~objective:Dse.Latency spec probe cands)
+      .Dse.outcomes
+  in
   let finalists pred =
     let rec take n = function
       | o :: rest when n > 0 -> o.Dse.dataflow :: take (n - 1) rest

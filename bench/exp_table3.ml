@@ -62,18 +62,17 @@ let run () =
   let df = Df.Zoo.gemm_ij_p_ijk_t () in
   let tpl, compile_s =
     Bench_util.phase "template_compile" (fun () ->
-        let t =
-          M.Model.analyze_template spec gemm df ~params:[ "i"; "j"; "k" ]
-        in
+        let t = M.Template.compile spec gemm df ~params:[ "i"; "j"; "k" ] in
         ignore
-          (M.Model.instantiate t ~sizes:[ ("i", 64); ("j", 64); ("k", 64) ]);
+          (M.Template.instantiate t
+             ~sizes:[ ("i", 64); ("j", 64); ("k", 64) ]);
         t)
   in
   let c_points = Obs.counter "count.points_enumerated" in
   let before = Obs.value c_points in
   let m2, reinst_s =
     Bench_util.phase "template_reinstantiate" (fun () ->
-        M.Model.instantiate tpl ~sizes:[ ("i", 96); ("j", 80); ("k", 112) ])
+        M.Template.instantiate tpl ~sizes:[ ("i", 96); ("j", 80); ("k", 112) ])
   in
   let delta = Obs.value c_points - before in
   Printf.printf

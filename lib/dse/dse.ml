@@ -11,8 +11,8 @@
    predecessor memos, per-architecture state), and [search] layers three
    pruning tiers on top — the checker's precheck, symmetry classes, and
    objective dominance bounds — plus a budgeted heuristic mode, all
-   deterministic at any [--jobs].  [evaluate_all] remains the exhaustive
-   oracle. *)
+   deterministic at any [--jobs].  [search ~mode:Exhaustive] is the
+   exhaustive oracle: it scores every candidate the prefilter keeps. *)
 
 module Aff = Tenet_isl.Aff
 module Ir = Tenet_ir
@@ -24,7 +24,6 @@ module Obs = Tenet_obs
 let c_evaluated = Obs.counter "dse.candidates_evaluated"
 let c_valid = Obs.counter "dse.candidates_valid"
 let c_invalid = Obs.counter "dse.candidates_invalid"
-let c_pruned = Obs.counter "dse.candidates_pruned"
 let c_pruned_precheck = Obs.counter "dse.pruned_precheck"
 let c_pruned_symmetry = Obs.counter "dse.pruned_symmetry"
 let c_pruned_dominated = Obs.counter "dse.pruned_dominated"
@@ -254,63 +253,6 @@ let eval_candidate (ctx : M.Concrete.ctx) (df : Df.Dataflow.t) :
   | exception M.Concrete.Invalid_dataflow _ ->
       Obs.incr c_invalid;
       None
-
-(* Evaluate all candidates, silently dropping invalid ones (out-of-array
-   or conflicting dataflows), sorted best-first by [objective].
-
-   Candidates are independent, so they are scored on the parallel work
-   pool (TENET_JOBS / --jobs) against one shared evaluation context.
-   The result is deterministic at any job count: [Parallel.map]
-   preserves input order and the final sort is stable, so ties keep the
-   generator's candidate order. *)
-let evaluate_all ?(adjacency = `Inner_step) ?prefilter ~objective
-    (spec : Arch.Spec.t) (op : Ir.Tensor_op.t) (cands : Df.Dataflow.t list) :
-    outcome list =
-  (* [prefilter] (e.g. the analysis checker's precheck under --strict)
-     rejects candidates before the expensive scoring; rejections are
-     counted on dse.candidates_pruned. *)
-  let cands =
-    match prefilter with
-    | None -> cands
-    | Some keep ->
-        List.filter
-          (fun df ->
-            let ok = keep df in
-            if not ok then Obs.incr c_pruned;
-            ok)
-          cands
-  in
-  let outcomes =
-    Obs.with_span "dse.evaluate_all" @@ fun () ->
-    (* one shared context: compiled access chains and the architecture's
-       predecessor memo are built here, outside the workers *)
-    let ctx = M.Concrete.context ~adjacency spec op in
-    List.filter_map Fun.id
-      (Tenet_util.Parallel.map (fun df -> eval_candidate ctx df) cands)
-  in
-  List.sort
-    (fun a b ->
-      Float.compare (score objective a.metrics) (score objective b.metrics))
-    outcomes
-
-(* Single sweep returning both the overall best and the best
-   data-centric-expressible outcome (the Figure 6 pair); [best] and
-   [best_expressible] are projections of this. *)
-let best_pair ?(adjacency = `Inner_step) ?(objective = Latency)
-    (spec : Arch.Spec.t) (op : Ir.Tensor_op.t) (cands : Df.Dataflow.t list) :
-    outcome option * outcome option =
-  let all = evaluate_all ~adjacency ~objective spec op cands in
-  let b = match all with [] -> None | o :: _ -> Some o in
-  (b, List.find_opt (fun o -> o.expressible) all)
-
-let best ?(adjacency = `Inner_step) ?(objective = Latency) spec op cands =
-  fst (best_pair ~adjacency ~objective spec op cands)
-
-(* Best restricted to the data-centric-expressible subspace: the paper's
-   Figure 6 baseline. *)
-let best_expressible ?(adjacency = `Inner_step) ?(objective = Latency) spec op
-    cands =
-  snd (best_pair ~adjacency ~objective spec op cands)
 
 (* ------------------------------------------------------------------ *)
 (* Search.                                                             *)

@@ -32,53 +32,12 @@ type outcome = {
   expressible : bool;
 }
 
-val evaluate_all :
-  ?adjacency:[ `Inner_step | `Lex_step ] ->
-  ?prefilter:(Df.Dataflow.t -> bool) ->
-  objective:objective ->
-  Arch.Spec.t ->
-  Ir.Tensor_op.t ->
-  Df.Dataflow.t list ->
-  outcome list
-(** Evaluate every candidate with the concrete engine, dropping invalid
-    dataflows, sorted best-first.  [prefilter] rejects candidates before
-    scoring (each rejection bumps [dse.candidates_pruned]); the CLI
-    wires the analysis checker's precheck here under [--strict]. *)
-
-val best_pair :
-  ?adjacency:[ `Inner_step | `Lex_step ] ->
-  ?objective:objective ->
-  Arch.Spec.t ->
-  Ir.Tensor_op.t ->
-  Df.Dataflow.t list ->
-  outcome option * outcome option
-(** One sweep, both answers: the overall best and the best
-    data-centric-expressible outcome (the Figure 6 pair).  Callers that
-    need both must use this — [best] and [best_expressible] each cost a
-    full sweep. *)
-
-val best :
-  ?adjacency:[ `Inner_step | `Lex_step ] ->
-  ?objective:objective ->
-  Arch.Spec.t ->
-  Ir.Tensor_op.t ->
-  Df.Dataflow.t list ->
-  outcome option
-
-val best_expressible :
-  ?adjacency:[ `Inner_step | `Lex_step ] ->
-  ?objective:objective ->
-  Arch.Spec.t ->
-  Ir.Tensor_op.t ->
-  Df.Dataflow.t list ->
-  outcome option
-(** Best within the data-centric-expressible subspace (the Figure 6
-    baseline). *)
-
 (** {1 Search} *)
 
 type mode =
-  | Exhaustive  (** score every candidate; the oracle *)
+  | Exhaustive
+      (** score every candidate the [prefilter] keeps, with no further
+          pruning tier; the oracle *)
   | Pruned
       (** precheck, symmetry-class and dominance pruning; same best
           outcomes as [Exhaustive], computed with far fewer full

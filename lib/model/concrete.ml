@@ -547,7 +547,6 @@ let analyze_in (ctx : ctx) (df : Df.Dataflow.t) : Metrics.t =
      loop's only lookups.  When the (PE, tensor, element) key space is
      small enough they are flat arrays (direct addressing, no hashing);
      otherwise hash tables. *)
-  let pe_size = ctx.x_pe_size in
   let kspace = ctx.x_kspace in
   let use_direct = ctx.x_use_direct in
   let lt_get, lt_set =
@@ -728,7 +727,6 @@ let analyze_in (ctx : ctx) (df : Df.Dataflow.t) : Metrics.t =
       (Invalid_dataflow
          (Printf.sprintf "%s: two instances share a spacetime-stamp"
             df.Df.Dataflow.name));
-  (* assemble metrics, mirroring Model.analyze *)
   let per_tensor =
     List.mapi
       (fun ti tensor ->
@@ -753,59 +751,9 @@ let analyze_in (ctx : ctx) (df : Df.Dataflow.t) : Metrics.t =
         })
       (Array.to_list tensors)
   in
-  let n_instances = ctx.x_n_instances in
-  let n_timestamps = max 1 (Hashtbl.length buckets) in
-  let partial =
-    {
-      Metrics.dataflow = df.Df.Dataflow.name;
-      per_tensor;
-      n_instances;
-      n_timestamps;
-      pe_size;
-      avg_utilization =
-        float_of_int n_instances /. float_of_int (pe_size * n_timestamps);
-      max_utilization = float_of_int !busiest /. float_of_int pe_size;
-      delay_compute = n_timestamps;
-      delay_read = 0.;
-      delay_write = 0.;
-      latency = 0.;
-      latency_stamped = 0.;
-      ibw = 0.;
-      sbw = 0.;
-      energy = 0.;
-    }
-  in
-  let bw = float_of_int spec.Arch.Spec.bandwidth in
-  let delay_read = float_of_int (Metrics.unique_inputs partial) /. bw in
-  let delay_write = float_of_int (Metrics.unique_outputs partial) /. bw in
-  let latency =
-    Float.max (float_of_int n_timestamps) (delay_read +. delay_write)
-  in
-  let e = spec.Arch.Spec.energy in
-  let energy =
-    let open Arch.Energy in
-    let all_total =
-      List.fold_left (fun a tm -> a + tm.Metrics.volumes.Metrics.total) 0
-        per_tensor
-    in
-    (float_of_int n_instances *. e.mac)
-    +. (float_of_int all_total *. e.reg)
-    +. (float_of_int (Metrics.total_unique partial) *. e.spm)
-    +. (float_of_int (Metrics.total_spatial_reuse partial) *. e.link)
-  in
-  {
-    partial with
-    delay_read;
-    delay_write;
-    latency;
-    latency_stamped = float_of_int !stamped_cycles;
-    ibw =
-      float_of_int (Metrics.total_spatial_reuse partial)
-      /. float_of_int n_timestamps;
-    sbw =
-      float_of_int (Metrics.total_unique partial) /. float_of_int n_timestamps;
-    energy;
-  }
+  Metrics.assemble ~spec ~dataflow:df.Df.Dataflow.name ~per_tensor
+    ~n_instances:ctx.x_n_instances ~n_timestamps:(Hashtbl.length buckets)
+    ~busiest:!busiest ~stamped_cycles:!stamped_cycles ()
 
 let analyze ?(adjacency : Df.Spacetime.adjacency = `Inner_step)
     ?(validate = true) ?(window = 1) (spec : Arch.Spec.t)

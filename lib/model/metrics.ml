@@ -43,25 +43,65 @@ type t = {
 let find_tensor t name =
   List.find (fun tm -> String.equal tm.tensor name) t.per_tensor
 
+let sum_tensors f per_tensor =
+  List.fold_left (fun acc tm -> acc + f tm) 0 per_tensor
+
+let unique_in dir tm = if tm.direction = dir then tm.volumes.unique else 0
+
 let unique_inputs t =
-  List.fold_left
-    (fun acc tm ->
-      if tm.direction = Tenet_ir.Tensor_op.Read then acc + tm.volumes.unique
-      else acc)
-    0 t.per_tensor
+  sum_tensors (unique_in Tenet_ir.Tensor_op.Read) t.per_tensor
 
 let unique_outputs t =
-  List.fold_left
-    (fun acc tm ->
-      if tm.direction = Tenet_ir.Tensor_op.Write then acc + tm.volumes.unique
-      else acc)
-    0 t.per_tensor
+  sum_tensors (unique_in Tenet_ir.Tensor_op.Write) t.per_tensor
 
-let total_unique t =
-  List.fold_left (fun acc tm -> acc + tm.volumes.unique) 0 t.per_tensor
-
-let total_spatial_reuse t =
-  List.fold_left (fun acc tm -> acc + tm.volumes.spatial_reuse) 0 t.per_tensor
+(* Every derived metric from the counted ones: utilization, Eqs. 7-10
+   and the double-buffered latency of Section V-B.  Each engine counts;
+   this one function prices the counts, so equal counts give equal
+   records, floats included, whichever engine produced them. *)
+let assemble ~(spec : Tenet_arch.Spec.t) ~dataflow ~per_tensor ~n_instances
+    ~n_timestamps ~busiest ?stamped_cycles () : t =
+  let open Tenet_arch in
+  let n_timestamps = max 1 n_timestamps in
+  let pe_size = Pe_array.size spec.Spec.pe in
+  let sum f = sum_tensors f per_tensor in
+  let unique = sum (fun tm -> tm.volumes.unique)
+  and spatial = sum (fun tm -> tm.volumes.spatial_reuse) in
+  let bw = float_of_int spec.Spec.bandwidth in
+  let delay_read =
+    float_of_int (sum (unique_in Tenet_ir.Tensor_op.Read)) /. bw
+  in
+  let delay_write =
+    float_of_int (sum (unique_in Tenet_ir.Tensor_op.Write)) /. bw
+  in
+  (* buffers, networks and arithmetic are pipelined with double
+     buffering: latency is the maximum of computation and communication *)
+  let latency =
+    Float.max (float_of_int n_timestamps) (delay_read +. delay_write)
+  in
+  let e = spec.Spec.energy in
+  {
+    dataflow;
+    per_tensor;
+    n_instances;
+    n_timestamps;
+    pe_size;
+    avg_utilization =
+      float_of_int n_instances /. float_of_int (pe_size * n_timestamps);
+    max_utilization = float_of_int busiest /. float_of_int pe_size;
+    delay_compute = n_timestamps;
+    delay_read;
+    delay_write;
+    latency;
+    latency_stamped =
+      (match stamped_cycles with Some c -> float_of_int c | None -> latency);
+    ibw = float_of_int spatial /. float_of_int n_timestamps;
+    sbw = float_of_int unique /. float_of_int n_timestamps;
+    energy =
+      (float_of_int n_instances *. e.Energy.mac)
+      +. (float_of_int (sum (fun tm -> tm.volumes.total)) *. e.Energy.reg)
+      +. (float_of_int unique *. e.Energy.spm)
+      +. (float_of_int spatial *. e.Energy.link);
+  }
 
 let pp_row fmt t =
   Format.fprintf fmt

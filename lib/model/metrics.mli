@@ -47,8 +47,24 @@ val find_tensor : t -> string -> tensor_metrics
 
 val unique_inputs : t -> int
 val unique_outputs : t -> int
-val total_unique : t -> int
-val total_spatial_reuse : t -> int
+
+val assemble :
+  spec:Tenet_arch.Spec.t ->
+  dataflow:string ->
+  per_tensor:tensor_metrics list ->
+  n_instances:int ->
+  n_timestamps:int ->
+  busiest:int ->
+  ?stamped_cycles:int ->
+  unit ->
+  t
+(** The record priced from its counts: utilizations, Eqs. 7-10, the
+    double-buffered latency of Section V-B and energy, with [pe_size],
+    bandwidth and energy coefficients taken from [spec].  [busiest] is
+    the instance count of the fullest time-stamp; [n_timestamps] is
+    clamped to at least 1.  [latency_stamped] is [stamped_cycles] when
+    given, else the overlap latency.  Every model engine builds its
+    record here. *)
 
 val pp_row : Format.formatter -> t -> unit
 val pp_tensor_row : Format.formatter -> tensor_metrics -> unit

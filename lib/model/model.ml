@@ -12,15 +12,11 @@ let c_relational = Obs.counter "model.relational_analyses"
 
 exception Invalid_dataflow of string
 
-(* Entry-point note:
-   [analyze] and [analyze_with] below keep their signatures and remain
-   the engine-level primitives, but they are now the bottom layer under
-   Tenet_serve.Api.run — the one request-level entry point the CLI,
-   `tenet batch` and `tenet serve` share.  New request-level callers
-   (anything wanting deadlines, structured errors, or the cross-request
-   result cache) should construct a Serve.Api.Request.t instead of
-   calling these directly; these stay for library users composing the
-   engines in-process. *)
+(* Entry-point note: [analyze] is an engine-level primitive under
+   Tenet_serve.Api.run, the one request-level entry point the CLI,
+   `tenet batch` and `tenet serve` share.  Request-level callers
+   (deadlines, structured errors, the cross-request result cache) should
+   construct a Serve.Api.Request.t instead of calling it directly. *)
 
 (* Per-time-stamp occupancy, shared by utilization and timestamp count:
    walk Θ's pairs once, bucketing instances by time-stamp.  Injectivity
@@ -83,83 +79,16 @@ let analyze ?(adjacency = `Inner_step) ?(validate = true)
         })
       (Ir.Tensor_op.tensors op)
   in
-  let n_instances = Ir.Tensor_op.n_instances op in
-  let pe_size = Arch.Pe_array.size spec.Arch.Spec.pe in
   let hist =
     Obs.with_span "model.stamp_histogram" (fun () ->
         stamp_histogram th ~n_space:(Df.Dataflow.n_space df)
           ~time_bounds:(Df.Dataflow.time_bounds op df))
   in
-  let n_timestamps = max 1 (Hashtbl.length hist) in
-  let busiest = Hashtbl.fold (fun _ r acc -> max acc !r) hist 0 in
-  let avg_utilization =
-    float_of_int n_instances /. float_of_int (pe_size * n_timestamps)
-  in
-  let max_utilization = float_of_int busiest /. float_of_int pe_size in
-  let metrics_partial =
-    {
-      Metrics.dataflow = df.Df.Dataflow.name;
-      per_tensor;
-      n_instances;
-      n_timestamps;
-      pe_size;
-      avg_utilization;
-      max_utilization;
-      delay_compute = n_timestamps;
-      delay_read = 0.;
-      delay_write = 0.;
-      latency = 0.;
-      latency_stamped = 0.;
-      ibw = 0.;
-      sbw = 0.;
-      energy = 0.;
-    }
-  in
-  let bw = float_of_int spec.Arch.Spec.bandwidth in
-  let delay_read =
-    float_of_int (Metrics.unique_inputs metrics_partial) /. bw
-  in
-  let delay_write =
-    float_of_int (Metrics.unique_outputs metrics_partial) /. bw
-  in
-  (* Buffers, networks and arithmetic are pipelined with double buffering
-     (Section V-B): latency is the maximum of computation and
-     communication. *)
-  let latency =
-    Float.max (float_of_int n_timestamps) (delay_read +. delay_write)
-  in
-  let ibw =
-    float_of_int (Metrics.total_spatial_reuse metrics_partial)
-    /. float_of_int n_timestamps
-  in
-  let sbw =
-    float_of_int (Metrics.total_unique metrics_partial)
-    /. float_of_int n_timestamps
-  in
-  let e = spec.Arch.Spec.energy in
-  let energy =
-    let open Arch.Energy in
-    let totals =
-      List.fold_left (fun a tm -> a + tm.Metrics.volumes.Metrics.total) 0
-        per_tensor
-    in
-    let uniques = Metrics.total_unique metrics_partial in
-    let spatial = Metrics.total_spatial_reuse metrics_partial in
-    (float_of_int n_instances *. e.mac)
-    +. (float_of_int totals *. e.reg)
-    +. (float_of_int uniques *. e.spm)
-    +. (float_of_int spatial *. e.link)
-  in
-  {
-    metrics_partial with
-    delay_read;
-    delay_write;
-    latency;
-    latency_stamped = latency;
-    ibw;
-    sbw;
-    energy;
-  }
+  Metrics.assemble ~spec ~dataflow:df.Df.Dataflow.name ~per_tensor
+    ~n_instances:(Ir.Tensor_op.n_instances op)
+    ~n_timestamps:(Hashtbl.length hist)
+    ~busiest:(Hashtbl.fold (fun _ r acc -> max acc !r) hist 0)
+    ()
 
 (* Volumes for a single tensor without the full report (used by DSE inner
    loops where only one tensor matters). *)
@@ -169,22 +98,3 @@ let tensor_volumes ?(adjacency = `Inner_step) (spec : Arch.Spec.t)
   let channels = Df.Spacetime.channels ~adjacency spec op df in
   let assignment = Df.Dataflow.data_assignment op df tensor in
   Volumes.compute ~assignment ~channels
-
-type engine = [ `Relational | `Concrete ]
-
-(* Engine dispatch: the concrete evaluator computes identical metrics
-   orders of magnitude faster (see Concrete); the relational path is the
-   faithful transcription of the paper's formulas and serves as the
-   reference in tests. *)
-let analyze_with ?(engine : engine = `Concrete) ?(adjacency = `Inner_step)
-    ?(validate = true) spec op df : Metrics.t =
-  match engine with
-  | `Relational -> analyze ~adjacency ~validate spec op df
-  | `Concrete -> Concrete.analyze ~adjacency ~validate spec op df
-
-let analyze_template ?adjacency ?validate ?window spec op df ~params :
-    Template.t =
-  Template.compile ?adjacency ?validate ?window spec op df ~params
-
-let instantiate (t : Template.t) ~sizes : Metrics.t =
-  Template.instantiate t ~sizes

@@ -35,33 +35,3 @@ val tensor_volumes :
   string ->
   Metrics.volumes
 (** Volumes of a single tensor (no validation). *)
-
-type engine = [ `Relational | `Concrete ]
-
-val analyze_with :
-  ?engine:engine ->
-  ?adjacency:[ `Inner_step | `Lex_step ] ->
-  ?validate:bool ->
-  Arch.Spec.t ->
-  Ir.Tensor_op.t ->
-  Df.Dataflow.t ->
-  Metrics.t
-(** Engine dispatch; the default [`Concrete] engine is property-tested
-    equivalent and orders of magnitude faster. *)
-
-val analyze_template :
-  ?adjacency:Df.Spacetime.adjacency ->
-  ?validate:bool ->
-  ?window:int ->
-  Arch.Spec.t ->
-  Ir.Tensor_op.t ->
-  Df.Dataflow.t ->
-  params:string list ->
-  Template.t
-(** Compile once with the named iterator extents left as free
-    parameters; answer any concrete size with {!instantiate} in O(1).
-    See {!Template}. *)
-
-val instantiate : Template.t -> sizes:(string * int) list -> Metrics.t
-(** {!Template.instantiate}: quasi-polynomial substitution when the
-    size is covered, concrete-engine fallback otherwise. *)

@@ -26,7 +26,7 @@ let c_interpolated = Obs.counter "scaled.interpolated"
 
 type spec_dim = { dim : string; sample_lo : int; sample_hi : int }
 
-(* Default samples: two and four periods of the dim's tiling (or 4 and 8
+(* Default samples: two and four periods of the dim's tiling (or 8 and 16
    iterations when untiled), clamped to the full extent. *)
 let default_samples (op : Ir.Tensor_op.t) (df : Df.Dataflow.t) dim =
   let lo, hi = Ir.Tensor_op.iter_bounds op dim in
@@ -36,95 +36,6 @@ let default_samples (op : Ir.Tensor_op.t) (df : Df.Dataflow.t) dim =
   { dim; sample_lo = s_lo; sample_hi = s_hi }
 
 let shrink_op = Template.shrink_op
-
-(* The integer metrics we extrapolate, flattened to a float vector. *)
-let to_vector (m : Metrics.t) : float array =
-  let per_tensor =
-    List.concat_map
-      (fun tm ->
-        let v = tm.Metrics.volumes in
-        [
-          float_of_int v.Metrics.total;
-          float_of_int v.Metrics.temporal_reuse;
-          float_of_int v.Metrics.spatial_reuse;
-          float_of_int tm.Metrics.footprint;
-        ])
-      m.Metrics.per_tensor
-  in
-  Array.of_list
-    (float_of_int m.Metrics.n_instances
-    :: float_of_int m.Metrics.n_timestamps
-    :: per_tensor)
-
-let of_vector (template : Metrics.t) (bw : int) (energy : Arch.Energy.t)
-    (vec : float array) : Metrics.t =
-  let geti i = int_of_float (Float.round vec.(i)) in
-  let n_instances = geti 0 and n_timestamps = max 1 (geti 1) in
-  let per_tensor =
-    List.mapi
-      (fun idx tm ->
-        let base = 2 + (4 * idx) in
-        let total = geti base
-        and temporal_reuse = geti (base + 1)
-        and spatial_reuse = geti (base + 2)
-        and footprint = geti (base + 3) in
-        {
-          tm with
-          Metrics.volumes =
-            {
-              Metrics.total;
-              temporal_reuse;
-              spatial_reuse;
-              unique = total - temporal_reuse - spatial_reuse;
-            };
-          footprint;
-        })
-      template.Metrics.per_tensor
-  in
-  let partial =
-    {
-      template with
-      Metrics.per_tensor;
-      n_instances;
-      n_timestamps;
-      delay_compute = n_timestamps;
-      latency_stamped = 0.;
-      avg_utilization =
-        float_of_int n_instances
-        /. float_of_int (template.Metrics.pe_size * n_timestamps);
-    }
-  in
-  let bwf = float_of_int bw in
-  let delay_read = float_of_int (Metrics.unique_inputs partial) /. bwf in
-  let delay_write = float_of_int (Metrics.unique_outputs partial) /. bwf in
-  let latency =
-    Float.max (float_of_int n_timestamps) (delay_read +. delay_write)
-  in
-  let all_total =
-    List.fold_left
-      (fun a tm -> a + tm.Metrics.volumes.Metrics.total)
-      0 per_tensor
-  in
-  let energy_total =
-    let open Arch.Energy in
-    (float_of_int n_instances *. energy.mac)
-    +. (float_of_int all_total *. energy.reg)
-    +. (float_of_int (Metrics.total_unique partial) *. energy.spm)
-    +. (float_of_int (Metrics.total_spatial_reuse partial) *. energy.link)
-  in
-  {
-    partial with
-    delay_read;
-    delay_write;
-    latency;
-    latency_stamped = latency;
-    ibw =
-      float_of_int (Metrics.total_spatial_reuse partial)
-      /. float_of_int n_timestamps;
-    sbw =
-      float_of_int (Metrics.total_unique partial) /. float_of_int n_timestamps;
-    energy = energy_total;
-  }
 
 (* Multilinear (tensor-product linear) extrapolation from 2^h corners.
 
@@ -152,7 +63,6 @@ let analyze ?(adjacency : Df.Spacetime.adjacency = `Inner_step)
       Obs.incr c_template_exact;
       m
   | None ->
-  Obs.incr c_interpolated;
   let sdims =
     match spec_dims with
     | Some s -> s
@@ -165,25 +75,28 @@ let analyze ?(adjacency : Df.Spacetime.adjacency = `Inner_step)
   else begin
     Obs.with_span ~args:[ ("dataflow", df.Df.Dataflow.name) ] "scaled.analyze"
     @@ fun () ->
+    Obs.incr c_interpolated;
     let corners = Tenet_util.Int_math.pow 2 h in
-    let corner_vec = Array.make corners [||] in
-    let template = ref None in
-    for c = 0 to corners - 1 do
-      Obs.incr c_corners;
-      let assignment =
-        List.mapi
-          (fun i s ->
-            (s.dim, if c land (1 lsl i) <> 0 then s.sample_hi else s.sample_lo))
-          sdims
-      in
-      let small = shrink_op op assignment in
-      let m =
-        Obs.with_span ~args:[ ("corner", string_of_int c) ] "scaled.corner"
-          (fun () -> Concrete.analyze ~adjacency ~validate spec small df)
-      in
-      if !template = None then template := Some m;
-      corner_vec.(c) <- to_vector m
-    done;
+    let corner_m =
+      Array.init corners (fun c ->
+          Obs.incr c_corners;
+          let assignment =
+            List.mapi
+              (fun i s ->
+                ( s.dim,
+                  if c land (1 lsl i) <> 0 then s.sample_hi else s.sample_lo ))
+              sdims
+          in
+          Obs.with_span ~args:[ ("corner", string_of_int c) ] "scaled.corner"
+            (fun () ->
+              Concrete.analyze ~adjacency ~validate spec
+                (shrink_op op assignment) df))
+    in
+    let corner_vec =
+      Array.map
+        (fun m -> Array.map float_of_int (Template.vector_of m))
+        corner_m
+    in
     let full_extent d =
       let lo, hi = Ir.Tensor_op.iter_bounds op d in
       float_of_int (hi - lo + 1)
@@ -210,10 +123,14 @@ let analyze ?(adjacency : Df.Spacetime.adjacency = `Inner_step)
         out.(i) <- out.(i) +. (w *. corner_vec.(c).(i))
       done
     done;
-    let template = Option.get !template in
-    let m =
-      of_vector template spec.Arch.Spec.bandwidth spec.Arch.Spec.energy out
-    in
-    (* the sampled max utilization is representative; keep the largest *)
-    { m with Metrics.max_utilization = template.Metrics.max_utilization }
+    let first = corner_m.(0) in
+    let vec = Array.map (fun x -> int_of_float (Float.round x)) out in
+    (* The instance, stamp and volume counts are multilinear; the
+       busiest stamp and the stamped cycles are not, so their
+       interpolants are dropped: the first corner's max utilization is
+       representative, and latency is priced by the overlap formula. *)
+    Metrics.assemble ~spec ~dataflow:first.Metrics.dataflow
+      ~per_tensor:(Template.per_tensor_of_vector first vec)
+      ~n_instances:vec.(0) ~n_timestamps:vec.(1)
+      ~busiest:(Template.vector_of first).(2) ()
   end

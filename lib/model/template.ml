@@ -15,10 +15,10 @@
    enumeration, no re-planning, O(1) in the problem size.
 
    The derived float metrics (utilizations, delays, latency, energy,
-   bandwidths) are re-assembled from the integer vector by the same
-   expressions, in the same order, as [Concrete.analyze_in]'s final
-   assembly — so an instantiation that covers the integer vector
-   reproduces the concrete metrics byte for byte.
+   bandwidths) are re-assembled from the integer vector by
+   {!Metrics.assemble}, as a concrete run's are — so an instantiation
+   that covers the integer vector reproduces the concrete metrics byte
+   for byte.
 
    Anything that resists (an unfit class, an extent below the sample
    floor, a non-integral evaluation) falls back to the concrete engine;
@@ -80,11 +80,11 @@ let period_of (df : Df.Dataflow.t) dim : int option =
 (* The integer metric vector.                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything [Concrete.analyze_in]'s final assembly consumes, as exact
-   integers: the float metrics are all functions of these plus the
-   arch spec.  [busiest] round-trips through [max_utilization] exactly
-   (it is busiest / pe_size in binary floating point), [stamped_cycles]
-   through [latency_stamped]. *)
+(* Everything {!Metrics.assemble} consumes, as exact integers: the
+   float metrics are all functions of these plus the arch spec.
+   [busiest] round-trips through [max_utilization] exactly (it is
+   busiest / pe_size in binary floating point), [stamped_cycles] through
+   [latency_stamped]. *)
 let vector_of (m : Metrics.t) : int array =
   let busiest =
     int_of_float
@@ -116,88 +116,37 @@ let component_names (skeleton : Metrics.t) : string list =
         ])
       skeleton.Metrics.per_tensor
 
-(* Reassemble a full metric record from the integer vector.  This
-   mirrors the final assembly of [Concrete.analyze_in] expression for
-   expression (same operations, same order), so the derived floats are
-   bit-identical to what a concrete run at the same sizes produces. *)
+(* The per-tensor rows of [skeleton] with the counts of [vec]. *)
+let per_tensor_of_vector (skeleton : Metrics.t) (vec : int array) :
+    Metrics.tensor_metrics list =
+  List.mapi
+    (fun idx tm ->
+      let base = 4 + (4 * idx) in
+      let total = vec.(base)
+      and temporal_reuse = vec.(base + 1)
+      and spatial_reuse = vec.(base + 2) in
+      {
+        tm with
+        Metrics.volumes =
+          {
+            Metrics.total;
+            temporal_reuse;
+            spatial_reuse;
+            unique = total - temporal_reuse - spatial_reuse;
+          };
+        footprint = vec.(base + 3);
+      })
+    skeleton.Metrics.per_tensor
+
+(* Reassemble a full metric record from the integer vector through
+   {!Metrics.assemble}, the assembly a concrete run uses: the derived
+   floats are bit-identical to a concrete run at the same sizes. *)
 let metrics_of_vector (skeleton : Metrics.t) (spec : Arch.Spec.t)
     (vec : int array) : Metrics.t =
-  let n_instances = vec.(0) in
-  let n_timestamps = max 1 vec.(1) in
-  let busiest = vec.(2) in
-  let stamped_cycles = vec.(3) in
-  let pe_size = skeleton.Metrics.pe_size in
-  let per_tensor =
-    List.mapi
-      (fun idx tm ->
-        let base = 4 + (4 * idx) in
-        let total = vec.(base)
-        and temporal_reuse = vec.(base + 1)
-        and spatial_reuse = vec.(base + 2)
-        and footprint = vec.(base + 3) in
-        {
-          tm with
-          Metrics.volumes =
-            {
-              Metrics.total;
-              temporal_reuse;
-              spatial_reuse;
-              unique = total - temporal_reuse - spatial_reuse;
-            };
-          footprint;
-        })
-      skeleton.Metrics.per_tensor
-  in
-  let partial =
-    {
-      skeleton with
-      Metrics.per_tensor;
-      n_instances;
-      n_timestamps;
-      avg_utilization =
-        float_of_int n_instances /. float_of_int (pe_size * n_timestamps);
-      max_utilization = float_of_int busiest /. float_of_int pe_size;
-      delay_compute = n_timestamps;
-      delay_read = 0.;
-      delay_write = 0.;
-      latency = 0.;
-      latency_stamped = 0.;
-      ibw = 0.;
-      sbw = 0.;
-      energy = 0.;
-    }
-  in
-  let bw = float_of_int spec.Arch.Spec.bandwidth in
-  let delay_read = float_of_int (Metrics.unique_inputs partial) /. bw in
-  let delay_write = float_of_int (Metrics.unique_outputs partial) /. bw in
-  let latency =
-    Float.max (float_of_int n_timestamps) (delay_read +. delay_write)
-  in
-  let e = spec.Arch.Spec.energy in
-  let energy =
-    let open Arch.Energy in
-    let all_total =
-      List.fold_left (fun a tm -> a + tm.Metrics.volumes.Metrics.total) 0
-        per_tensor
-    in
-    (float_of_int n_instances *. e.mac)
-    +. (float_of_int all_total *. e.reg)
-    +. (float_of_int (Metrics.total_unique partial) *. e.spm)
-    +. (float_of_int (Metrics.total_spatial_reuse partial) *. e.link)
-  in
-  {
-    partial with
-    delay_read;
-    delay_write;
-    latency;
-    latency_stamped = float_of_int stamped_cycles;
-    ibw =
-      float_of_int (Metrics.total_spatial_reuse partial)
-      /. float_of_int n_timestamps;
-    sbw =
-      float_of_int (Metrics.total_unique partial) /. float_of_int n_timestamps;
-    energy;
-  }
+  Metrics.assemble ~spec ~dataflow:skeleton.Metrics.dataflow
+    ~per_tensor:(per_tensor_of_vector skeleton vec)
+    ~n_instances:vec.(0) ~n_timestamps:vec.(1) ~busiest:vec.(2)
+    ~stamped_cycles:vec.(3) ()
 
 (* ------------------------------------------------------------------ *)
 (* Templates.                                                          *)

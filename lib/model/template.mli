@@ -11,9 +11,9 @@
     degree in the extents.  The template fits that polynomial per class
     by exact-rational Lagrange interpolation through a few small concrete
     analyses, verifies it on a held-out larger sample, and caches it.
-    Derived float metrics are reassembled by the same expressions as
-    {!Concrete.analyze}, so instantiated metrics are byte-identical to a
-    fresh concrete analysis at the same sizes.
+    Derived float metrics are priced by {!Metrics.assemble}, as a
+    concrete analysis prices its own, so instantiated metrics are
+    byte-identical to a fresh concrete analysis at the same sizes.
 
     Sizes the template cannot cover (unfit class, extent below the
     sample floor, non-integral evaluation) fall back to the concrete
@@ -83,3 +83,15 @@ val shrink_op :
 val period_of : Tenet_dataflow.Dataflow.t -> string -> int option
 (** The tiling period the dataflow applies to a dim (the modulus or
     divisor of the innermost [mod]/[fdiv] on it), when any. *)
+
+val vector_of : Metrics.t -> int array
+(** The integer counts behind a record, in the order the fit uses:
+    instances, time-stamps, busiest-stamp instances, stamped cycles,
+    then total volume, temporal reuse, spatial reuse and footprint per
+    tensor. *)
+
+val per_tensor_of_vector :
+  Metrics.t -> int array -> Metrics.tensor_metrics list
+(** [per_tensor_of_vector skeleton vec] is [skeleton]'s per-tensor rows
+    with the volumes and footprints of [vec] (laid out as by
+    {!vector_of}). *)

@@ -1202,37 +1202,28 @@ let run_dse ~token (r : Request.t) : Response.body =
             if r.Request.strict then
               Some
                 (fun df ->
-                  let ok =
-                    An.Diagnostic.errors (An.Checker.precheck spec op df) = []
-                  in
-                  if not ok then incr n_pruned;
-                  ok)
+                  An.Diagnostic.errors (An.Checker.precheck spec op df) = [])
             else None
           in
-          match r.Request.search with
-          | `Exhaustive ->
-              outcomes :=
-                Dse.evaluate_all ?prefilter ~adjacency:r.Request.adjacency
-                  ~objective:Dse.Latency spec op !cands
-          | (`Pruned | `Heuristic) as mode ->
-              let mode =
-                match mode with
-                | `Pruned -> Dse.Pruned
-                | `Heuristic -> Dse.Heuristic
-              in
-              let result =
-                Dse.search ~mode ?budget:r.Request.budget ?prefilter
-                  ~adjacency:r.Request.adjacency ~objective:Dse.Latency spec
-                  op !cands
-              in
-              (* the search's own prune tiers count toward [pruned] on
-                 top of the strict prefilter's rejections *)
-              n_pruned :=
-                result.Dse.stats.Dse.pruned_precheck
-                + result.Dse.stats.Dse.pruned_symmetry
-                + result.Dse.stats.Dse.pruned_capacity
-                + result.Dse.stats.Dse.pruned_dominated;
-              outcomes := result.Dse.outcomes );
+          let mode =
+            match r.Request.search with
+            | `Exhaustive -> Dse.Exhaustive
+            | `Pruned -> Dse.Pruned
+            | `Heuristic -> Dse.Heuristic
+          in
+          let result =
+            Dse.search ~mode ?budget:r.Request.budget ?prefilter
+              ~adjacency:r.Request.adjacency ~objective:Dse.Latency spec op
+              !cands
+          in
+          (* every prune tier counts toward [pruned]: the strict
+             prefilter's rejections are in [pruned_precheck] *)
+          n_pruned :=
+            result.Dse.stats.Dse.pruned_precheck
+            + result.Dse.stats.Dse.pruned_symmetry
+            + result.Dse.stats.Dse.pruned_capacity
+            + result.Dse.stats.Dse.pruned_dominated;
+          outcomes := result.Dse.outcomes );
     ]
   in
   let expired, skipped = drive token stages in

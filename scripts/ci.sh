@@ -251,6 +251,23 @@ echo "== capacity sanitizer shard (TENET_CHECK_VERIFY=1) =="
 # implement the same attribution from independent code paths.
 TENET_CHECK_VERIFY=1 dune exec test/test_check_verify.exe >/dev/null
 
+echo "== benchmark digests (perfbench/run.py, seed 1) =="
+# The committed seed-1 digests pin the output bytes of every benchmark
+# op, so a changed byte fails here before it fails the benchmark.
+if command -v python3 >/dev/null 2>&1; then
+  for w in serve_mix sim_groundtruth dse_mapper; do
+    out="$tmp_root/perfbench_$w"
+    python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 \
+        --trace 0 >"$out.out" 2>"$out.err" \
+      || { cat "$out.err"; echo "perfbench $w failed"; exit 1; }
+    tail -n 1 "$out.out" | grep -q '"correct":true' \
+      || { echo "perfbench $w: seed-1 digest mismatch"; exit 1; }
+    echo "$w: digests correct"
+  done
+else
+  echo "(skipped: python3 not installed)"
+fi
+
 echo "== release build =="
 dune build --profile release
 

@@ -9,6 +9,10 @@ module Dse = Tenet.Dse.Dse
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* Every candidate scored, best first: the exhaustive oracle. *)
+let exhaustive ?(objective = Dse.Latency) spec op cands =
+  (Dse.search ~mode:Dse.Exhaustive ~objective spec op cands).Dse.outcomes
+
 let test_candidate_counts () =
   let op = Ir.Kernels.gemm ~ni:8 ~nj:8 ~nk:8 in
   (* 2D: 6 ordered pairs x 1 remaining inner dim x 2 (skew or not) *)
@@ -35,16 +39,16 @@ let test_search_finds_tpu_class () =
   let op = Ir.Kernels.gemm ~ni:16 ~nj:16 ~nk:16 in
   let spec = Arch.Repository.tpu_like ~bandwidth:8 () in
   let cands = Dse.candidates_2d op ~p:8 in
-  match Dse.best spec op cands with
-  | None -> Alcotest.fail "no valid dataflow found"
-  | Some o ->
+  match exhaustive spec op cands with
+  | [] -> Alcotest.fail "no valid dataflow found"
+  | o :: _ ->
       check_bool "best latency sane" true (o.Dse.metrics.M.Metrics.latency > 0.)
 
 let test_expressible_subset () =
   let op = Ir.Kernels.gemm ~ni:16 ~nj:16 ~nk:16 in
   let spec = Arch.Repository.tpu_like ~bandwidth:8 () in
   let cands = Dse.candidates_2d op ~p:8 in
-  let all = Dse.evaluate_all ~objective:Dse.Latency spec op cands in
+  let all = exhaustive spec op cands in
   let expressible = List.filter (fun o -> o.Dse.expressible) all in
   check_bool "strict subset" true
     (List.length expressible < List.length all && expressible <> []);
@@ -65,14 +69,15 @@ let test_expressible_subset () =
 let test_fig6_direction () =
   (* at low bandwidth, the best relation-centric dataflow must beat or
      match the best data-centric-expressible one (Fig 6's claim); one
-     [best_pair] sweep answers both sides *)
+     exhaustive sweep answers both sides *)
   let op = Ir.Kernels.gemm ~ni:16 ~nj:16 ~nk:16 in
   let cands = Dse.candidates_2d op ~p:8 @ Dse.candidates_1d op ~p:64 in
   List.iter
     (fun bw ->
       let spec = Arch.Repository.tpu_like ~bandwidth:bw () in
-      match Dse.best_pair spec op cands with
-      | Some b, Some be ->
+      let all = exhaustive spec op cands in
+      match (all, List.find_opt (fun o -> o.Dse.expressible) all) with
+      | b :: _, Some be ->
           check_bool
             (Printf.sprintf "bw=%d: tenet <= data-centric" bw)
             true
@@ -81,17 +86,6 @@ let test_fig6_direction () =
       | _ -> Alcotest.fail "search failed")
     [ 2; 8; 64 ]
 
-let test_best_pair_consistent () =
-  let op = Ir.Kernels.gemm ~ni:16 ~nj:16 ~nk:16 in
-  let spec = Arch.Repository.tpu_like ~bandwidth:8 () in
-  let cands = Dse.candidates_2d op ~p:8 in
-  let b, be = Dse.best_pair spec op cands in
-  let name o = (Option.get o).Dse.dataflow.Df.Dataflow.name in
-  check_bool "best agrees" true
-    (String.equal (name b) (name (Dse.best spec op cands)));
-  check_bool "best_expressible agrees" true
-    (String.equal (name be) (name (Dse.best_expressible spec op cands)))
-
 let test_invalid_candidates_dropped () =
   (* a 16-wide PE request on an 8x8 array: all 2D candidates with p=16
      are invalid and must be silently dropped *)
@@ -99,17 +93,17 @@ let test_invalid_candidates_dropped () =
   let spec = Arch.Repository.tpu_like ~n:8 () in
   let cands = Dse.candidates_2d op ~p:16 in
   check_int "all dropped" 0
-    (List.length (Dse.evaluate_all ~objective:Dse.Latency spec op cands))
+    (List.length (exhaustive spec op cands))
 
 let test_objectives () =
   let op = Ir.Kernels.gemm ~ni:16 ~nj:16 ~nk:16 in
   let spec = Arch.Repository.tpu_like ~bandwidth:4 () in
   let cands = Dse.candidates_2d op ~p:8 in
-  let by_lat = Option.get (Dse.best ~objective:Dse.Latency spec op cands) in
-  let by_en = Option.get (Dse.best ~objective:Dse.Energy spec op cands) in
-  let by_sbw = Option.get (Dse.best ~objective:Dse.Sbw spec op cands) in
+  let by_lat = List.hd (exhaustive ~objective:Dse.Latency spec op cands) in
+  let by_en = List.hd (exhaustive ~objective:Dse.Energy spec op cands) in
+  let by_sbw = List.hd (exhaustive ~objective:Dse.Sbw spec op cands) in
   (* each winner is optimal under its own objective *)
-  let all = Dse.evaluate_all ~objective:Dse.Latency spec op cands in
+  let all = exhaustive spec op cands in
   List.iter
     (fun o ->
       check_bool "latency opt" true
@@ -440,8 +434,6 @@ let () =
           Alcotest.test_case "invalid dropped" `Quick
             test_invalid_candidates_dropped;
           Alcotest.test_case "objectives" `Quick test_objectives;
-          Alcotest.test_case "best_pair consistent" `Quick
-            test_best_pair_consistent;
         ] );
       ( "mapper",
         [

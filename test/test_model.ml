@@ -134,16 +134,13 @@ let test_huge_op_guarded () =
 (* Engine equivalence: relational vs concrete on random dataflows.     *)
 (* ------------------------------------------------------------------ *)
 
-let vol_summary (m : M.Metrics.t) =
-  ( m.M.Metrics.n_timestamps,
-    List.map
-      (fun tm ->
-        let v = tm.M.Metrics.volumes in
-        ( tm.M.Metrics.tensor,
-          v.M.Metrics.total,
-          v.M.Metrics.temporal_reuse,
-          v.M.Metrics.spatial_reuse ))
-      m.M.Metrics.per_tensor )
+(* The whole record, byte for byte.  The relational engine has no
+   stamped latency (it reports the overlap latency there), so that one
+   field comes from the concrete side. *)
+let same_record (mr : M.Metrics.t) (mc : M.Metrics.t) =
+  let bytes m = Tenet.Obs.Json.to_string (M.Metrics.to_json m) in
+  let stamped = mc.M.Metrics.latency_stamped in
+  String.equal (bytes { mr with M.Metrics.latency_stamped = stamped }) (bytes mc)
 
 (* random small GEMM dataflows over a 2x2 array *)
 let arb_small_dataflow =
@@ -184,7 +181,7 @@ let prop_engines_agree =
       in
       let mr = M.Model.analyze spec op df in
       let mc = M.Concrete.analyze spec op df in
-      vol_summary mr = vol_summary mc)
+      same_record mr mc)
 
 let prop_engines_agree_lex =
   QCheck.Test.make ~name:"relational = concrete (lex adjacency)" ~count:8
@@ -207,7 +204,26 @@ let prop_engines_agree_lex =
       in
       let mr = M.Model.analyze ~adjacency:`Lex_step spec op df in
       let mc = M.Concrete.analyze ~adjacency:`Lex_step spec op df in
-      vol_summary mr = vol_summary mc)
+      same_record mr mc)
+
+(* The same check over the Table III zoo: every dataflow once, on the
+   first repository architecture of its rank. *)
+let test_zoo_engines_agree () =
+  let module C = Tenet.Analysis.Checker in
+  let seen = Hashtbl.create 32 in
+  List.iter
+    (fun (s : C.subject) ->
+      let key = s.C.s_kernel ^ "/" ^ s.C.s_df.Df.Dataflow.name in
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.add seen key ();
+        check_bool
+          (Printf.sprintf "%s on %s" key s.C.s_arch)
+          true
+          (same_record
+             (M.Model.analyze s.C.s_spec s.C.s_op s.C.s_df)
+             (M.Concrete.analyze s.C.s_spec s.C.s_op s.C.s_df))
+      end)
+    (C.zoo_subjects ())
 
 let prop_total_eq_instances_times_accesses =
   QCheck.Test.make ~name:"total(F) = instances for single-access tensors"
@@ -253,5 +269,10 @@ let () =
             prop_engines_agree;
             prop_engines_agree_lex;
             prop_total_eq_instances_times_accesses;
-          ] );
+          ]
+        @ [
+            Alcotest.test_case "zoo whole record" `Quick
+              test_zoo_engines_agree;
+          ]
+      );
     ]

@@ -504,7 +504,8 @@ let test_engines_record () =
     (List.exists (fun sp -> sp.Obs.sp_name = "model.volumes") (Obs.spans ()));
   (* dse: per-candidate counters *)
   let cands = Dse.candidates_2d op ~p:2 in
-  ignore (Dse.evaluate_all ~objective:Dse.Latency spec op cands);
+  ignore
+    (Dse.search ~mode:Dse.Exhaustive ~objective:Dse.Latency spec op cands);
   check_int "dse.candidates_evaluated" (List.length cands)
     (Obs.value (Obs.counter "dse.candidates_evaluated"));
   teardown ()

@@ -123,13 +123,13 @@ let test_dse_deterministic () =
           o.Dse.expressible ))
       outcomes
   in
-  let seq =
-    digest (Dse.evaluate_all ~objective:Dse.Latency spec op cands)
+  let sweep () =
+    digest
+      (Dse.search ~mode:Dse.Exhaustive ~objective:Dse.Latency spec op cands)
+        .Dse.outcomes
   in
-  let par =
-    with_jobs 4 (fun () ->
-        digest (Dse.evaluate_all ~objective:Dse.Latency spec op cands))
-  in
+  let seq = sweep () in
+  let par = with_jobs 4 sweep in
   if seq <> par then Alcotest.fail "DSE outcomes differ between jobs=1 and jobs=4";
   Alcotest.(check bool) "nonempty" true (seq <> [])
 

@@ -44,9 +44,7 @@ let test_gemm_random_sizes () =
   let spec = Arch.Repository.tpu_like () in
   let df = Df.Zoo.gemm_ij_p_ijk_t () in
   let op = Ir.Kernels.gemm ~ni:64 ~nj:64 ~nk:64 in
-  let tpl =
-    M.Model.analyze_template spec op df ~params:[ "i"; "j"; "k" ]
-  in
+  let tpl = M.Template.compile spec op df ~params:[ "i"; "j"; "k" ] in
   let rand = Random.State.make [| 0x7e4e7 |] in
   (* stay above the per-class validity floors (residue + up to 3 periods,
      period 8 here): the template refuses smaller sizes by design *)
@@ -65,7 +63,7 @@ let test_conv_random_sizes () =
   let spec = Arch.Repository.tpu_like () in
   let df = Df.Zoo.conv_nvdla () in
   let op = Ir.Kernels.conv2d ~nk:8 ~nc:16 ~nox:14 ~noy:14 ~nrx:3 ~nry:3 in
-  let tpl = M.Model.analyze_template spec op df ~params:[ "c"; "ox"; "oy" ] in
+  let tpl = M.Template.compile spec op df ~params:[ "c"; "ox"; "oy" ] in
   let rand = Random.State.make [| 0xc0c0 |] in
   let c_size () = 32 + Random.State.int rand 16 in
   let o_size () = 16 + Random.State.int rand 8 in
@@ -92,9 +90,9 @@ let test_table3_pin () =
   let spec = Arch.Repository.tpu_like () in
   let df = Df.Zoo.gemm_ij_p_ijk_t () in
   let op = Ir.Kernels.gemm ~ni:64 ~nj:64 ~nk:64 in
-  let tpl = M.Model.analyze_template spec op df ~params:[ "i"; "j"; "k" ] in
+  let tpl = M.Template.compile spec op df ~params:[ "i"; "j"; "k" ] in
   let m =
-    M.Model.instantiate tpl ~sizes:[ ("i", 64); ("j", 64); ("k", 64) ]
+    M.Template.instantiate tpl ~sizes:[ ("i", 64); ("j", 64); ("k", 64) ]
   in
   Alcotest.(check int) "instances" (64 * 64 * 64) m.M.Metrics.n_instances;
   let reference = M.Concrete.analyze spec op df in
@@ -125,7 +123,7 @@ let test_closed_forms () =
   let spec = Arch.Repository.tpu_like () in
   let df = Df.Zoo.gemm_ij_p_ijk_t () in
   let op = Ir.Kernels.gemm ~ni:64 ~nj:64 ~nk:64 in
-  let tpl = M.Model.analyze_template spec op df ~params:[ "i"; "j"; "k" ] in
+  let tpl = M.Template.compile spec op df ~params:[ "i"; "j"; "k" ] in
   let forms =
     M.Template.closed_forms tpl ~sizes:[ ("i", 64); ("j", 64); ("k", 64) ]
   in
@@ -153,10 +151,10 @@ let test_small_sizes_fall_back () =
   let spec = Arch.Repository.tpu_like () in
   let df = Df.Zoo.gemm_ij_p_ijk_t () in
   let op = Ir.Kernels.gemm ~ni:64 ~nj:64 ~nk:64 in
-  let tpl = M.Model.analyze_template spec op df ~params:[ "i"; "j"; "k" ] in
+  let tpl = M.Template.compile spec op df ~params:[ "i"; "j"; "k" ] in
   let sizes = [ ("i", 5); ("j", 5); ("k", 5) ] in
   check_bool "refused" true (M.Template.try_instantiate tpl ~sizes = None);
-  let m = M.Model.instantiate tpl ~sizes in
+  let m = M.Template.instantiate tpl ~sizes in
   let reference =
     M.Concrete.analyze spec (Ir.Kernels.gemm ~ni:5 ~nj:5 ~nk:5) df
   in
@@ -168,10 +166,10 @@ let test_bad_params_rejected () =
   let op = Ir.Kernels.gemm ~ni:64 ~nj:64 ~nk:64 in
   check_bool "unknown iterator raises" true
     (try
-       ignore (M.Model.analyze_template spec op df ~params:[ "q" ]);
+       ignore (M.Template.compile spec op df ~params:[ "q" ]);
        false
      with Invalid_argument _ -> true);
-  let tpl = M.Model.analyze_template spec op df ~params:[ "i" ] in
+  let tpl = M.Template.compile spec op df ~params:[ "i" ] in
   check_bool "unknown size name raises" true
     (try
        ignore (M.Template.try_instantiate tpl ~sizes:[ ("z", 8) ]);
