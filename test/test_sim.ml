@@ -7,6 +7,7 @@ module Arch = Tenet.Arch
 module Df = Tenet.Dataflow
 module M = Tenet.Model
 module Sim = Tenet.Sim
+module An = Tenet.Analysis
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -157,6 +158,121 @@ let test_windowed_traffic_parity () =
         (y.Sim.Simulator.writebacks + y.Sim.Simulator.fetches))
     [ 1; 3 ]
 
+(* The simulator pinned over the zoo.  test/golden/sim_zoo.txt holds one
+   line per run, recorded from the simulator before its int-code rewrite:
+   every Checker.zoo_subjects (arch, dataflow) pair at small sizes, at
+   register windows 1-3 and at the repository and a 1-word bandwidth,
+   plus Fig 11's two shapes reduced.  Every result field, the four peak
+   probes and the order of the access trace must stay byte-identical. *)
+
+type zoo_run = {
+  label : string;
+  spec : Arch.Spec.t;
+  op : Ir.Tensor_op.t;
+  df : Df.Dataflow.t;
+  window : int;
+}
+
+let small_op = function
+  | "gemm" -> Ir.Kernels.gemm ~ni:6 ~nj:7 ~nk:8
+  | "conv" -> Ir.Kernels.conv2d ~nk:3 ~nc:2 ~nox:4 ~noy:4 ~nrx:3 ~nry:3
+  | "mttkrp" -> Ir.Kernels.mttkrp ~ni:6 ~nj:7 ~nk:3 ~nl:4
+  | "mmc" -> Ir.Kernels.mmc ~ni:6 ~nj:7 ~nk:3 ~nl:4
+  | "jacobi2d" -> Ir.Kernels.jacobi2d ~n:14
+  | k -> invalid_arg ("small_op: " ^ k)
+
+let zoo_runs () : zoo_run list =
+  let run ~arch ~kernel ~window ~bw spec op df =
+    let spec, bw_text =
+      match bw with
+      | None -> (spec, "default")
+      | Some b -> (Arch.Spec.with_bandwidth b spec, string_of_int b)
+    in
+    {
+      label =
+        Printf.sprintf "%s %s %s w=%d bw=%s" arch kernel df.Df.Dataflow.name
+          window bw_text;
+      spec;
+      op;
+      df;
+      window;
+    }
+  in
+  let zoo =
+    List.concat_map
+      (fun (s : An.Checker.subject) ->
+        let op = small_op s.An.Checker.s_kernel in
+        List.concat_map
+          (fun window ->
+            List.map
+              (fun bw ->
+                run ~arch:s.An.Checker.s_arch ~kernel:s.An.Checker.s_kernel
+                  ~window ~bw s.An.Checker.s_spec op s.An.Checker.s_df)
+              [ None; Some 1 ])
+          [ 1; 2; 3 ])
+      (An.Checker.zoo_subjects ())
+  in
+  (* Fig 11's two shapes, channel- and size-reduced: Eyeriss row
+     stationary at window = ox, MAERI's reduction tree at window 1 *)
+  let eyeriss =
+    Arch.Spec.make ~pe:(Arch.Pe_array.d2 12 14)
+      ~topology:Arch.Interconnect.Row_col_broadcast ~bandwidth:64 ()
+  in
+  let maeri = Arch.Repository.maeri_like ~n:63 ~bandwidth:64 () in
+  let conv k c o r = Ir.Kernels.conv2d ~nk:k ~nc:c ~nox:o ~noy:o ~nrx:r ~nry:r in
+  let fig11 =
+    List.concat_map
+      (fun (k, c, o, r) ->
+        let cpack = max 1 (min (12 / r) (min 4 c)) in
+        let df = Df.Zoo.conv_eyeriss_rs ~kt:k ~ct:c ~cpack ~r () in
+        List.map
+          (fun bw ->
+            run ~arch:"eyeriss-rs-12x14" ~kernel:"conv" ~window:o ~bw eyeriss
+              (conv k c o r) df)
+          [ None; Some 1 ])
+      [ (4, 3, 5, 3); (3, 2, 6, 5) ]
+    @ List.concat_map
+        (fun (k, c, o, r) ->
+          let df = Df.Zoo.conv_maeri ~cslices:(min 7 c) () in
+          List.map
+            (fun bw ->
+              run ~arch:"maeri-63" ~kernel:"conv" ~window:1 ~bw maeri
+                (conv k c o r) df)
+            [ None; Some 1 ])
+        [ (3, 3, 6, 3); (4, 2, 5, 3) ]
+  in
+  zoo @ fig11
+
+(* One golden line: the subject, the result's JSON bytes, the four peak
+   probes, and an MD5 of the scratchpad access trace. *)
+let zoo_line (z : zoo_run) : string =
+  let r = Sim.Simulator.run ~window:z.window z.spec z.op z.df in
+  let buf = Buffer.create 4096 in
+  let trace tensor element =
+    Buffer.add_string buf tensor;
+    Array.iter (fun v -> Buffer.add_string buf (Printf.sprintf " %d" v)) element;
+    Buffer.add_char buf '\n'
+  in
+  let traced = Sim.Simulator.run ~window:z.window ~trace z.spec z.op z.df in
+  if traced <> r then failwith (z.label ^ ": traced run differs");
+  Printf.sprintf "%s | %s | pe=%d chip=%d link=%d fan=%d | trace=%s" z.label
+    (Tenet.Obs.Json.to_string (Sim.Simulator.to_json r))
+    r.Sim.Simulator.peak_pe_live r.Sim.Simulator.peak_chip_live
+    r.Sim.Simulator.peak_link_load r.Sim.Simulator.peak_fanout
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_zoo_golden () =
+  let expected =
+    In_channel.with_open_text "golden/sim_zoo.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let runs = zoo_runs () in
+  check_int "golden runs" (List.length expected) (List.length runs);
+  List.iter2
+    (fun z want -> Alcotest.(check string) z.label want (zoo_line z))
+    runs expected
+
 let () =
   Alcotest.run "sim"
     [
@@ -179,4 +295,5 @@ let () =
           Alcotest.test_case "mesh vs systolic" `Quick
             test_mesh_vs_systolic_traffic;
         ] );
+      ("golden", [ Alcotest.test_case "zoo pin" `Quick test_zoo_golden ]);
     ]
