@@ -184,10 +184,11 @@ let conflict_witness (op : Ir.Tensor_op.t) (df : t) :
 (* A dataflow is valid on an architecture iff (1) the space-stamp rank
    matches the PE array rank, (2) every instance lands inside the array,
    and (3) no two instances share a spacetime-stamp (each PE has one
-   MAC).  [first_violation] renders the first failing fact; callers
-   wanting structured findings with witness points should use
-   [Analysis.Checker.check] instead. *)
-let first_violation (op : Ir.Tensor_op.t) (df : t) (pe : Arch.Pe_array.t) :
+   MAC).  [space_violation] renders the first failing fact of (1) and
+   (2) by interval analysis alone; [first_violation] adds (3), which
+   counts Θ with isl.  Callers wanting structured findings with witness
+   points should use [Analysis.Checker.check] instead. *)
+let space_violation (op : Ir.Tensor_op.t) (df : t) (pe : Arch.Pe_array.t) :
     string option =
   match rank_violation df pe with
   | Some (r, ar) ->
@@ -200,13 +201,19 @@ let first_violation (op : Ir.Tensor_op.t) (df : t) (pe : Arch.Pe_array.t) :
           Some
             (Printf.sprintf "%s: space dim %d spans [%d, %d] outside [0, %d)"
                df.name i lo hi extent)
-      | None -> (
-          match conflict_counts op df with
-          | Some (pairs, stamps) ->
-              Some
-                (Printf.sprintf "%s: %d instances map to %d spacetime-stamps"
-                   df.name pairs stamps)
-          | None -> None))
+      | None -> None)
+
+let first_violation (op : Ir.Tensor_op.t) (df : t) (pe : Arch.Pe_array.t) :
+    string option =
+  match space_violation op df pe with
+  | Some _ as v -> v
+  | None -> (
+      match conflict_counts op df with
+      | Some (pairs, stamps) ->
+          Some
+            (Printf.sprintf "%s: %d instances map to %d spacetime-stamps"
+               df.name pairs stamps)
+      | None -> None)
 
 let to_string df =
   let s = String.concat ", " (List.map Isl.Aff.to_string df.space) in

@@ -68,6 +68,11 @@ val conflict_witness :
 (** A concrete conflicting pair: [(n, n', shared stamp)] with [n] lex
     before [n'], found by sampling [Θ ∘ Θ'⁻¹] off the diagonal. *)
 
+val space_violation : Ir.Tensor_op.t -> t -> Arch.Pe_array.t -> string option
+(** The rank and containment cases of {!first_violation}, with the same
+    texts: interval analysis only, no counting.  For engines that detect
+    spacetime conflicts on their own walk (the simulator). *)
+
 val first_violation : Ir.Tensor_op.t -> t -> Arch.Pe_array.t -> string option
 (** The first failing validity fact (rank, then containment, then
     injectivity), rendered as a message — [None] when the dataflow is

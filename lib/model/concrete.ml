@@ -146,81 +146,6 @@ let eval_staged (c : compiled) (evals : (int array -> int) array)
     out.(i) <- evals.(i) c.vals
   done
 
-(* Predecessor time-stamps under the chosen adjacency, written into
-   [out]; returns false when there is no predecessor (start of time or a
-   wrap position that does not apply). *)
-let time_preds ~(adjacency : Df.Spacetime.adjacency) (c : compiled)
-    (t : int array) ~dt : int array list =
-  let m = Array.length t in
-  if m = 0 then []
-  else if dt = 0 then [ Array.copy t ]
-  else begin
-    match adjacency with
-    | `Inner_step ->
-        let t' = Array.copy t in
-        t'.(m - 1) <- t'.(m - 1) - dt;
-        [ t' ]
-    | `Lex_step ->
-        (* piece j applies iff all dims after j currently sit at their
-           minimum; the predecessor has those dims at their maximum. *)
-        let rec pieces j acc =
-          if j < 0 then acc
-          else begin
-            let applies = ref true in
-            for i = j + 1 to m - 1 do
-              let lo, _ = c.time_base.(i) in
-              if t.(i) <> lo then applies := false
-            done;
-            let acc =
-              if !applies then begin
-                let t' = Array.copy t in
-                t'.(j) <- t'.(j) - dt;
-                for i = j + 1 to m - 1 do
-                  let lo, ext = c.time_base.(i) in
-                  t'.(i) <- lo + ext - 1
-                done;
-                t' :: acc
-              end
-              else acc
-            in
-            pieces (j - 1) acc
-          end
-        in
-        pieces (m - 1) []
-  end
-
-(* Temporal predecessor stamps within a register window of [window]
-   stamps: under [`Inner_step] the innermost dim steps back 1..window
-   without wrapping; under [`Lex_step] the window walks back through the
-   box-lexicographic order (wrap-aware), modeling a register file that
-   holds the last [window] elements the PE touched. *)
-let temporal_preds ~(adjacency : Df.Spacetime.adjacency) (c : compiled)
-    (t : int array) ~window : int array list =
-  let m = Array.length t in
-  if m = 0 then []
-  else begin
-    match adjacency with
-    | `Inner_step ->
-        List.init window (fun d ->
-            let t' = Array.copy t in
-            t'.(m - 1) <- t'.(m - 1) - (d + 1);
-            t')
-    | `Lex_step ->
-        let code = encode c.time_base t in
-        if code < 0 then []
-        else begin
-          let rec go d acc =
-            if d > window || code - d < 0 then List.rev acc
-            else begin
-              let t' = Array.make m 0 in
-              decode c.time_base (code - d) t';
-              go (d + 1) (t' :: acc)
-            end
-          in
-          go 1 []
-        end
-  end
-
 (* Spatial predecessor PEs (mixed-radix-encoded) per destination PE, from
    the (already lex-filtered when interval = 0) interconnect relation.
    Memoized per (topology, PE-array dims): a DSE sweep calls [analyze]
@@ -283,6 +208,50 @@ let tensor_bases (op : Ir.Tensor_op.t) (accs : Ir.Tensor_op.access array) :
           if h > !hi then hi := h)
         accs;
       (!lo, !hi - !lo + 1))
+
+(* Per-tensor element encoders, for every tensor of [op] in
+   [Ir.Tensor_op.tensors] order: the tensor's mixed-radix base
+   ([tensor_bases]; ascending code is lexicographic element order) and,
+   per access, a staged closure computing the element's code straight
+   from an iterator-value array laid out like [compiled.vals].  The
+   layout depends only on [op], so the closures serve every dataflow's
+   walk.  Shared with the cycle-level simulator. *)
+let element_encoders (op : Ir.Tensor_op.t) :
+    (int * int) array array * (int array -> int) array array =
+  let tensors = Array.of_list (Ir.Tensor_op.tensors op) in
+  let accs =
+    Array.map (fun t -> Array.of_list (Ir.Tensor_op.accesses_of op t)) tensors
+  in
+  let bases = Array.map (tensor_bases op) accs in
+  let index = Hashtbl.create 8 in
+  List.iteri
+    (fun i it -> Hashtbl.replace index it.Ir.Tensor_op.iname i)
+    op.Ir.Tensor_op.iters;
+  let lookup name = Hashtbl.find index name in
+  let encs =
+    Array.mapi
+      (fun ti accs_ti ->
+        let b = bases.(ti) in
+        let arity = Array.length b in
+        Array.map
+          (fun (a : Ir.Tensor_op.access) ->
+            let subs =
+              Array.of_list
+                (List.map
+                   (Isl.Aff.compile_eval ~lookup)
+                   a.Ir.Tensor_op.subscripts)
+            in
+            fun vals ->
+              let acc = ref 0 in
+              for i = 0 to arity - 1 do
+                let lo, ext = b.(i) in
+                acc := (!acc * ext) + (subs.(i) vals - lo)
+              done;
+              !acc)
+          accs_ti)
+      accs
+  in
+  (bases, encs)
 
 (* Everything the analysis needs that depends only on the (architecture,
    operator, evaluation options) triple — not on the candidate dataflow.
@@ -375,46 +344,11 @@ let context ?(adjacency : Df.Spacetime.adjacency = `Inner_step)
   let pe = spec.Arch.Spec.pe in
   let tensors = Array.of_list (Ir.Tensor_op.tensors op) in
   let n_tensors = Array.length tensors in
-  let accs =
-    Array.map (fun t -> Array.of_list (Ir.Tensor_op.accesses_of op t)) tensors
-  in
-  let bases = Array.map (tensor_bases op) accs in
+  let bases, fenc_evals = element_encoders op in
   let fspace =
     Array.fold_left
       (fun acc b -> max acc (Array.fold_left (fun a (_, e) -> a * e) 1 b))
       1 bases
-  in
-  let index = Hashtbl.create 8 in
-  List.iteri
-    (fun i it -> Hashtbl.replace index it.Ir.Tensor_op.iname i)
-    op.Ir.Tensor_op.iters;
-  let lookup name = Hashtbl.find index name in
-  (* Staged access evaluators: one closure per access computing the
-     mixed-radix element encoding straight from an iterator-value array
-     laid out like [compiled.vals] (the layout depends only on [op], so
-     the closures are shared across every candidate's walk). *)
-  let fenc_evals =
-    Array.mapi
-      (fun ti accs_ti ->
-        let b = bases.(ti) in
-        let arity = Array.length b in
-        Array.map
-          (fun (a : Ir.Tensor_op.access) ->
-            let subs =
-              Array.of_list
-                (List.map
-                   (Isl.Aff.compile_eval ~lookup)
-                   a.Ir.Tensor_op.subscripts)
-            in
-            fun vals ->
-              let acc = ref 0 in
-              for i = 0 to arity - 1 do
-                let lo, ext = b.(i) in
-                acc := (!acc * ext) + (subs.(i) vals - lo)
-              done;
-              !acc)
-          accs_ti)
-      accs
   in
   let pe_size = Arch.Pe_array.size pe in
   let kspace = pe_size * n_tensors * fspace in

@@ -4,8 +4,16 @@
    paper compares against (reported Eyeriss / MAERI numbers): it actually
    executes the dataflow stamp by stamp, moving data through registers,
    interconnect and a bandwidth-limited scratchpad, and reports observed
-   latency / utilization / traffic.  It shares only the IR with the
-   analytical models, so model-vs-simulator agreement is a genuine
+   latency / utilization / traffic.
+
+   It shares with the analytical models ({!Tenet_model.Concrete}) the IR,
+   the iteration of the instance box, the mixed-radix encodings of
+   stamps, PEs and tensor elements, the staged subscript and stamp
+   evaluators, and the interconnect predecessor table.  It shares none
+   of their semantics: no reuse channels, window or transfer
+   attribution, counting, metric formulas, or the capacity checker's
+   attribution.  The machine below decides every fetch, transfer and
+   writeback itself, so model-vs-simulator agreement is a genuine
    cross-check (see DESIGN.md).
 
    Machine model:
@@ -14,13 +22,18 @@
      traffic the analytical model assumes is hidden by double buffering
      shows up here as stalls when bandwidth is short;
    - each PE holds a register file per tensor retaining the elements it
-     touched during the last [window] stamps (default 1), matching the
-     analytical model's temporal-reuse window;
-   - interval-1 interconnects deliver a neighbor's previous-stamp
-     elements; interval-0 wires share one fetch among connected PEs
-     needing the same element in the same stamp (the lex-least fetches);
+     touched during the last [window] stamps it was busy (default 1),
+     matching the analytical model's temporal-reuse window;
+   - interval-1 interconnects deliver elements a neighbor holds;
+     interval-0 wires share one fetch among connected PEs needing the
+     same element in the same stamp (the lex-least fetches);
    - output partial sums are written back on eviction and reloaded when
-     an already-initialized element returns to a PE. *)
+     an already-initialized element returns to a PE.
+
+   Representation: a tensor element is its mixed-radix code, so ascending
+   code is lexicographic element order.  Each (PE, tensor) register file
+   is a ring of [window] slots, a slot holding the sorted, distinct codes
+   of one busy stamp. *)
 
 module Ir = Tenet_ir
 module Arch = Tenet_arch
@@ -59,297 +72,411 @@ type result = {
   peak_fanout : int; (* max destinations of one element from one PE *)
 }
 
+(* Per-element integer marks of one tensor, indexed by element code: a
+   flat array for element spaces up to [flat_marks_max], beyond that a
+   hash table of the codes actually set.  Unset codes read 0. *)
+type marks = Flat of int array | Sparse of (int, int) Hashtbl.t
+
+let flat_marks_max = 1 lsl 20
+
+let marks_create space =
+  if space <= flat_marks_max then Flat (Array.make space 0)
+  else Sparse (Hashtbl.create 1024)
+
+let mark_get m k =
+  match m with
+  | Flat a -> a.(k)
+  | Sparse h -> ( try Hashtbl.find h k with Not_found -> 0)
+
+let mark_set m k v =
+  match m with Flat a -> a.(k) <- v | Sparse h -> Hashtbl.replace h k v
+
+(* Sort [a.(off) .. a.(off + len - 1)] ascending and drop duplicates in
+   place; returns the distinct count.  A span is one instance's accesses
+   to one tensor: a handful of codes. *)
+let sort_uniq_span (a : int array) off len =
+  for i = off + 1 to off + len - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= off && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done;
+  if len = 0 then 0
+  else begin
+    let w = ref (off + 1) in
+    for i = off + 1 to off + len - 1 do
+      if a.(i) <> a.(!w - 1) then begin
+        a.(!w) <- a.(i);
+        incr w
+      end
+    done;
+    !w - off
+  end
+
+(* Index of [f] in the sorted span [a.(off) .. a.(off + len - 1)], or -1. *)
+let span_find (a : int array) off len f =
+  let i = ref off and stop = off + len in
+  while !i < stop && a.(!i) < f do
+    incr i
+  done;
+  if !i < stop && a.(!i) = f then !i else -1
+
 let run ?(window = 1) ?trace (spec : Arch.Spec.t) (op : Ir.Tensor_op.t)
     (df : Df.Dataflow.t) : result =
   Obs.with_span ~args:[ ("dataflow", df.Df.Dataflow.name) ] "sim.run"
   @@ fun () ->
   Obs.incr c_runs;
-  let record tensor element =
-    match trace with None -> () | Some f -> f tensor element
-  in
-  let c = C.compile op df in
   let pe = spec.Arch.Spec.pe in
+  (* every PE coordinate must exist: the machine state is indexed by PE *)
+  (match Df.Dataflow.space_violation op df pe with
+  | Some msg -> raise (C.Invalid_dataflow msg)
+  | None -> ());
+  let c = C.compile op df in
   let pe_base = Array.map (fun d -> (0, d)) (Arch.Pe_array.dims pe) in
   let pe_size = Arch.Pe_array.size pe in
   let r = Df.Dataflow.n_space df and m = Df.Dataflow.n_time df in
   let p_scratch = Array.make r 0 and t_scratch = Array.make m 0 in
-  (* bucket instances by time-stamp *)
-  let buckets : (int, (int * int) list ref) Hashtbl.t = Hashtbl.create 4096 in
-  let tkeys = ref [] in
+  (* bucket instances by time-stamp, newest first; the walk visits
+     instance codes 0, 1, 2, ... in turn *)
+  let n = Array.fold_left (fun a (_, e) -> a * e) 1 c.C.iters in
+  let pe_of_inst = Array.make n 0 in
+  let buckets : (int, int list ref) Hashtbl.t = Hashtbl.create 4096 in
+  let tcodes = ref [] in
+  let next = ref 0 in
   C.iter_instances c (fun () ->
-      C.eval_tuple c c.C.space_exprs p_scratch;
-      C.eval_tuple c c.C.time_exprs t_scratch;
-      let tkey = C.encode c.C.time_base t_scratch in
-      let pkey = C.encode pe_base p_scratch in
-      let inst = C.encode_iters c in
-      match Hashtbl.find_opt buckets tkey with
-      | Some l -> l := (pkey, inst) :: !l
-      | None ->
-          Hashtbl.add buckets tkey (ref [ (pkey, inst) ]);
-          tkeys := tkey :: !tkeys);
+      C.eval_staged c c.C.space_evals p_scratch;
+      C.eval_staged c c.C.time_evals t_scratch;
+      let tcode = C.encode c.C.time_base t_scratch in
+      let i = !next in
+      pe_of_inst.(i) <- C.encode pe_base p_scratch;
+      (match Hashtbl.find buckets tcode with
+      | l -> l := i :: !l
+      | exception Not_found ->
+          Hashtbl.add buckets tcode (ref [ i ]);
+          tcodes := tcode :: !tcodes);
+      next := i + 1);
   (* lexicographic stamp order = ascending mixed-radix code *)
-  let order = List.sort compare !tkeys in
+  let order = Array.of_list !tcodes in
+  Array.sort Int.compare order;
+  let stamps = Array.map (fun t -> !(Hashtbl.find buckets t)) order in
+  let n_stamps = Array.length stamps in
+  (* one MAC per PE: a PE busy twice in one stamp is a Θ conflict *)
+  let act_stamp = Array.make pe_size (-1) in
+  Array.iteri
+    (fun k insts ->
+      List.iter
+        (fun i ->
+          let p = pe_of_inst.(i) in
+          if act_stamp.(p) = k then
+            raise
+              (C.Invalid_dataflow
+                 (Printf.sprintf "%s: two instances share a spacetime-stamp"
+                    df.Df.Dataflow.name));
+          act_stamp.(p) <- k)
+        insts)
+    stamps;
+  Array.fill act_stamp 0 pe_size (-1);
   let interval = Arch.Interconnect.interval spec.Arch.Spec.topology in
   (* hop/wire predecessors per PE (lex-filtered for interval 0) *)
-  let preds : (int, int list) Hashtbl.t = Hashtbl.create 256 in
-  Tenet_isl.Map.iter_pairs
-    (fun src dst ->
-      let s = C.encode pe_base src and d = C.encode pe_base dst in
-      let prev = try Hashtbl.find preds d with Not_found -> [] in
-      Hashtbl.replace preds d (s :: prev))
-    (Df.Spacetime.reuse_pe_relation pe spec.Arch.Spec.topology);
+  let preds = C.pred_pe_keys spec in
   let tensors = Array.of_list (Ir.Tensor_op.tensors op) in
   let n_tensors = Array.length tensors in
-  let accs =
-    Array.map (fun t -> Array.of_list (Ir.Tensor_op.accesses_of op t)) tensors
+  let bases, encs = C.element_encoders op in
+  let outputs = Ir.Tensor_op.outputs op in
+  let is_output = Array.map (fun t -> List.mem t outputs) tensors in
+  (* an instance touches at most [caps.(ti)] distinct elements of ti *)
+  let caps = Array.map Array.length encs in
+  let spaces = Array.map (Array.fold_left (fun a (_, e) -> a * e) 1) bases in
+  (* Register rings.  Slot k of (p, ti) holds ring_len.(ti).(p * slots + k)
+     codes from ring.(ti).((p * slots + k) * caps.(ti)); the filled slots
+     are 0 .. count - 1 with the newest at head.  A PE fills at most one
+     slot per stamp, so no ring needs more slots than there are stamps. *)
+  let slots = max 0 (min window n_stamps) in
+  let ring = Array.map (fun cap -> Array.make (pe_size * slots * cap) 0) caps in
+  let ring_len = Array.init n_tensors (fun _ -> Array.make (pe_size * slots) 0) in
+  let count = Array.make (pe_size * n_tensors) 0 in
+  let head = Array.make (pe_size * n_tensors) 0 in
+  (* distinct codes held across each ring, kept as slots come and go *)
+  let live = Array.make (pe_size * n_tensors) 0 in
+  (* This stamp's needs: the j-th instance served has need_len.(ti).(j)
+     codes from need.(ti).(j * caps.(ti)); act_slot.(p) is PE p's j when
+     act_stamp.(p) is the current stamp. *)
+  let need = Array.map (fun cap -> Array.make (pe_size * cap) 0) caps in
+  let need_len = Array.init n_tensors (fun _ -> Array.make pe_size 0) in
+  let act_slot = Array.make pe_size 0 in
+  (* [used]: 2(k+1) once stamp k needs the element, 2(k+1)+1 once stamp
+     k writes it back; so "alive or written in stamp k" is >= 2(k+1).
+     [initialized]: 1 once an output element holds a partial sum in the
+     scratchpad. *)
+  let used = Array.map marks_create spaces in
+  let initialized =
+    Array.mapi
+      (fun ti sp -> if is_output.(ti) then marks_create sp else Flat [||])
+      spaces
   in
-  let is_output =
-    Array.map (fun t -> List.mem t (Ir.Tensor_op.outputs op)) tensors
-  in
-  (* regs.(pe * n_tensors + ti): FIFO (newest first) of the element sets
-     this PE touched during the last [window] stamps *)
-  let regs : int array list list array =
-    Array.make (pe_size * n_tensors) []
-  in
-  let reg_elements r = List.concat regs.(r) in
-  (* output elements that already hold partial sums in the scratchpad *)
-  let initialized : (int * int array, unit) Hashtbl.t = Hashtbl.create 4096 in
+  (* Per-stamp transfer tallies for the peak_link_load / peak_fanout
+     probes.  A transfer is an element a PE needs, does not hold, and
+     receives from its lex-least capable predecessor.  All transfers into
+     one PE happen while serving its one instance, so edge loads are
+     counted per served instance over the source PE.  Fanout is counted
+     at the supplied element's position in the source's storage (its
+     needs for interval 0, its ring otherwise), which is one position per
+     (source, element) within a stamp. *)
+  let served = ref 0 in
+  let edge_seq = Array.make pe_size (-1) and edge_cnt = Array.make pe_size 0 in
+  let supply = if interval = 0 then need else ring in
+  let fan_stamp = Array.map (fun a -> Array.make (Array.length a) (-1)) supply in
+  let fan_cnt = Array.map (fun a -> Array.make (Array.length a) 0) supply in
   let fetches = Array.make n_tensors 0 in
   let writebacks = Array.make n_tensors 0 in
-  let cycles = ref 0 and busy = ref 0 and stalls = ref 0 in
+  let cycles = ref 0 and stalls = ref 0 in
   let peak_pe = ref 0 and peak_chip = ref 0 in
   let peak_link = ref 0 and peak_fan = ref 0 in
-  let iv = Array.make c.C.n_iters 0 in
-  let fs_of inst ti =
-    C.decode_iters c inst iv;
-    Array.blit iv 0 c.C.vals 0 c.C.n_iters;
-    List.sort_uniq compare
-      (Array.to_list
-         (Array.map
-            (fun (a : Ir.Tensor_op.access) ->
-              Array.of_list
-                (List.map
-                   (fun e -> Tenet_isl.Aff.eval c.C.env e)
-                   a.Ir.Tensor_op.subscripts))
-            accs.(ti)))
+  (* trace elements are decoded into one buffer per tensor *)
+  let elt = Array.map (fun b -> Array.make (Array.length b) 0) bases in
+  let record ti code =
+    match trace with
+    | None -> ()
+    | Some f ->
+        C.decode bases.(ti) code elt.(ti);
+        f tensors.(ti) elt.(ti)
   in
-  List.iter
-    (fun tkey ->
-      let insts = !(Hashtbl.find buckets tkey) in
-      busy := !busy + List.length insts;
-      let needs =
-        List.map
-          (fun (pkey, inst) ->
-            (pkey, List.init n_tensors (fun ti -> (ti, fs_of inst ti))))
-          insts
-      in
-      (* (pe, tensor, element) needed this stamp, for same-cycle sharing *)
-      let stamp_needs : (int * int, int array list) Hashtbl.t =
-        Hashtbl.create 64
-      in
-      (* all (tensor, element) pairs alive this stamp, for eviction *)
-      let used_now : (int * int array, unit) Hashtbl.t = Hashtbl.create 64 in
-      List.iter
-        (fun (pkey, per_tensor) ->
-          List.iter
-            (fun (ti, fs) ->
-              Hashtbl.replace stamp_needs (pkey, ti) fs;
-              List.iter (fun f -> Hashtbl.replace used_now (ti, f) ()) fs)
-            per_tensor)
-        needs;
-      (* deduplicate writebacks of replicated copies within one stamp *)
-      let written_now : (int * int array, unit) Hashtbl.t =
-        Hashtbl.create 16
-      in
-      (* per-edge and per-(source, element) transfer tallies this stamp,
-         feeding the peak_link_load / peak_fanout probes; a transfer is
-         an element a PE needs, does not hold, and receives from its
-         lex-least capable predecessor (the same attribution the
-         capacity checker uses) *)
-      let edge_load : (int * int, int ref) Hashtbl.t = Hashtbl.create 32 in
-      let fan_load : (int * int * int array, int ref) Hashtbl.t =
-        Hashtbl.create 32
-      in
-      let reads = ref 0 and writes = ref 0 in
-      List.iter
-        (fun (pkey, per_tensor) ->
-          List.iter
-            (fun (ti, fs) ->
-              let reg = (pkey * n_tensors) + ti in
-              let held = reg_elements reg in
-              let have_local f = List.exists (fun g -> compare g f = 0) held in
-              let neighbor_supplier f =
-                match Hashtbl.find_opt preds pkey with
-                | None -> None
-                | Some ps ->
-                    List.fold_left
-                      (fun acc p' ->
-                        let has =
-                          if interval = 0 then
-                            match Hashtbl.find_opt stamp_needs (p', ti) with
-                            | None -> false
-                            | Some fs' ->
-                                List.exists (fun g -> compare g f = 0) fs'
-                          else
-                            List.exists
-                              (fun g -> compare g f = 0)
-                              (reg_elements ((p' * n_tensors) + ti))
-                        in
-                        if not has then acc
-                        else
-                          match acc with
-                          | Some b when b <= p' -> acc
-                          | _ -> Some p')
-                      None ps
-              in
-              let note_transfer q f =
-                (match Hashtbl.find_opt edge_load (q, pkey) with
-                | Some n -> incr n
-                | None -> Hashtbl.add edge_load (q, pkey) (ref 1));
-                match Hashtbl.find_opt fan_load (q, ti, f) with
-                | Some n -> incr n
-                | None -> Hashtbl.add fan_load (q, ti, f) (ref 1)
-              in
-              if is_output.(ti) then begin
-                (* evict partial sums leaving the array: those about to
-                   fall off the register window, not used anywhere this
-                   stamp (a live element merely migrating between PEs
-                   travels over the interconnect), and written only once
-                   per stamp even if several PEs held copies *)
-                let falling_off =
-                  if List.length regs.(reg) >= window then
-                    match List.rev regs.(reg) with
-                    | oldest :: _ ->
-                        let rest =
-                          List.concat
-                            (match List.rev regs.(reg) with
-                            | _ :: r -> r
-                            | [] -> [])
-                        in
-                        List.filter
-                          (fun g ->
-                            not (List.exists (fun h -> compare g h = 0) rest))
-                          oldest
-                    | [] -> []
-                  else []
-                in
-                let evicted =
-                  List.filter
-                    (fun g ->
-                      (not (List.exists (fun f -> compare g f = 0) fs))
-                      && (not (Hashtbl.mem used_now (ti, g)))
-                      && not (Hashtbl.mem written_now (ti, g)))
-                    falling_off
-                in
-                List.iter
-                  (fun g ->
-                    incr writes;
-                    writebacks.(ti) <- writebacks.(ti) + 1;
-                    record tensors.(ti) g;
-                    Hashtbl.replace written_now (ti, g) ();
-                    Hashtbl.replace initialized (ti, g) ())
-                  evicted;
-                List.iter
-                  (fun f ->
-                    if not (have_local f) then
-                      match neighbor_supplier f with
-                      | Some q -> note_transfer q f
-                      | None ->
-                          if Hashtbl.mem initialized (ti, f) then begin
-                            (* reload an existing partial sum *)
-                            incr reads;
-                            fetches.(ti) <- fetches.(ti) + 1;
-                            record tensors.(ti) f
-                          end)
-                  fs
-              end
-              else
-                List.iter
-                  (fun f ->
-                    if not (have_local f) then
-                      match neighbor_supplier f with
-                      | Some q -> note_transfer q f
-                      | None ->
-                          incr reads;
-                          fetches.(ti) <- fetches.(ti) + 1;
-                          record tensors.(ti) f)
-                  fs)
-            per_tensor)
-        needs;
-      peak_chip := max !peak_chip (Hashtbl.length used_now);
-      Hashtbl.iter
-        (fun _ n -> if !n > !peak_link then peak_link := !n)
-        edge_load;
-      Hashtbl.iter
-        (fun _ n -> if !n > !peak_fan then peak_fan := !n)
-        fan_load;
-      let step_cycles =
-        max 1
-          ((!reads + !writes + spec.Arch.Spec.bandwidth - 1)
-          / spec.Arch.Spec.bandwidth)
-      in
-      stalls := !stalls + (step_cycles - 1);
-      cycles := !cycles + step_cycles;
-      (* commit registers for the next stamp: push this stamp's set and
-         retire anything beyond the window *)
-      List.iter
-        (fun (pkey, per_tensor) ->
-          List.iter
-            (fun (ti, fs) ->
-              let reg = (pkey * n_tensors) + ti in
-              let take n l =
-                let rec go n = function
-                  | x :: r when n > 0 -> x :: go (n - 1) r
-                  | _ -> []
-                in
-                go n l
-              in
-              regs.(reg) <- take window (fs :: regs.(reg)))
-            per_tensor)
-        needs;
-      (* post-commit register occupancy of the PEs active this stamp *)
-      List.iter
-        (fun (pkey, per_tensor) ->
-          let live =
-            List.fold_left
-              (fun a (ti, _) ->
-                a
-                + List.length
-                    (List.sort_uniq compare
-                       (reg_elements ((pkey * n_tensors) + ti))))
-              0 per_tensor
+  (* position in ring.(ti) of [f] in (p, ti)'s filled slots other than
+     [skip], or -1 *)
+  let ring_find ti p f skip =
+    let cap = caps.(ti) and lens = ring_len.(ti) in
+    let filled = count.((p * n_tensors) + ti) in
+    let pos = ref (-1) and k = ref 0 in
+    while !pos < 0 && !k < filled do
+      if !k <> skip then begin
+        let slot = (p * slots) + !k in
+        pos := span_find ring.(ti) (slot * cap) lens.(slot) f
+      end;
+      incr k
+    done;
+    !pos
+  in
+  (* append this stamp's codes to (p, ti)'s ring, dropping the oldest
+     slot when the window is full *)
+  let push ti p j =
+    if slots > 0 then begin
+      let reg = (p * n_tensors) + ti in
+      let cap = caps.(ti) and lens = ring_len.(ti) and data = ring.(ti) in
+      let full = count.(reg) = slots in
+      let k = if full then (head.(reg) + 1) mod slots else count.(reg) in
+      let skip = if full then k else -1 in
+      let slot = (p * slots) + k in
+      if full then
+        for e = slot * cap to (slot * cap) + lens.(slot) - 1 do
+          if ring_find ti p data.(e) k < 0 then live.(reg) <- live.(reg) - 1
+        done;
+      let src = need.(ti) and off = j * cap and len = need_len.(ti).(j) in
+      for e = off to off + len - 1 do
+        if ring_find ti p src.(e) skip < 0 then live.(reg) <- live.(reg) + 1
+      done;
+      Array.blit src off data (slot * cap) len;
+      lens.(slot) <- len;
+      head.(reg) <- k;
+      if not full then count.(reg) <- count.(reg) + 1
+    end
+  in
+  (* The lex-least PE among [ps] able to supply element [f] of tensor ti
+     in stamp k: one that needs it this stamp (interval 0) or holds it
+     (otherwise).  Leaves the PE in sup_q and the element's position in
+     its storage in sup_pos (-1: none); the caller resets both. *)
+  let sup_q = ref max_int and sup_pos = ref (-1) in
+  let rec scan_preds ti k f = function
+    | [] -> ()
+    | p' :: rest ->
+        if p' < !sup_q then begin
+          let pos =
+            if interval = 0 then
+              if act_stamp.(p') = k then
+                let j' = act_slot.(p') in
+                span_find need.(ti) (j' * caps.(ti)) need_len.(ti).(j') f
+              else -1
+            else ring_find ti p' f (-1)
           in
-          if live > !peak_pe then peak_pe := live)
-        needs)
-    order;
+          if pos >= 0 then begin
+            sup_q := p';
+            sup_pos := pos
+          end
+        end;
+        scan_preds ti k f rest
+  in
+  (* PE of the j-th instance served this stamp *)
+  let stamp_pe = Array.make pe_size 0 in
+  for k = 0 to n_stamps - 1 do
+    let tag = 2 * (k + 1) in
+    (* gather: every instance's element codes, in serving order *)
+    let nk = ref 0 and chip = ref 0 in
+    List.iter
+      (fun inst ->
+        let j = !nk and p = pe_of_inst.(inst) in
+        incr nk;
+        stamp_pe.(j) <- p;
+        act_stamp.(p) <- k;
+        act_slot.(p) <- j;
+        C.decode_iters c inst c.C.vals;
+        for ti = 0 to n_tensors - 1 do
+          let cap = caps.(ti) and buf = need.(ti) and fs = encs.(ti) in
+          let off = j * cap in
+          for a = 0 to cap - 1 do
+            buf.(off + a) <- fs.(a) c.C.vals
+          done;
+          let len = sort_uniq_span buf off cap in
+          need_len.(ti).(j) <- len;
+          let u = used.(ti) in
+          for e = off to off + len - 1 do
+            if mark_get u buf.(e) < tag then begin
+              mark_set u buf.(e) tag;
+              incr chip
+            end
+          done
+        done)
+      stamps.(k);
+    let nk = !nk in
+    if !chip > !peak_chip then peak_chip := !chip;
+    let reads = ref 0 and writes = ref 0 in
+    for j = 0 to nk - 1 do
+      let p = stamp_pe.(j) in
+      incr served;
+      for ti = 0 to n_tensors - 1 do
+        let cap = caps.(ti) and buf = need.(ti) in
+        let off = j * cap and len = need_len.(ti).(j) in
+        let reg = (p * n_tensors) + ti in
+        if is_output.(ti) && count.(reg) > 0 && count.(reg) >= window then begin
+          (* evict partial sums leaving the array: those about to fall
+             off the register window, not used anywhere this stamp (a
+             live element merely migrating between PEs travels over the
+             interconnect), and written only once per stamp even if
+             several PEs held copies *)
+          let oldest = (head.(reg) + 1) mod slots in
+          let slot = (p * slots) + oldest in
+          let data = ring.(ti) in
+          for e = slot * cap to (slot * cap) + ring_len.(ti).(slot) - 1 do
+            let g = data.(e) in
+            if ring_find ti p g oldest < 0 && mark_get used.(ti) g < tag then begin
+              incr writes;
+              writebacks.(ti) <- writebacks.(ti) + 1;
+              record ti g;
+              mark_set used.(ti) g (tag + 1);
+              mark_set initialized.(ti) g 1
+            end
+          done
+        end;
+        for e = off to off + len - 1 do
+          let f = buf.(e) in
+          if ring_find ti p f (-1) < 0 then begin
+            sup_q := max_int;
+            sup_pos := -1;
+            scan_preds ti k f preds.(p);
+            if !sup_pos >= 0 then begin
+              let q = !sup_q and pos = !sup_pos in
+              if edge_seq.(q) <> !served then begin
+                edge_seq.(q) <- !served;
+                edge_cnt.(q) <- 0
+              end;
+              edge_cnt.(q) <- edge_cnt.(q) + 1;
+              if edge_cnt.(q) > !peak_link then peak_link := edge_cnt.(q);
+              let fs = fan_stamp.(ti) and fc = fan_cnt.(ti) in
+              if fs.(pos) <> k then begin
+                fs.(pos) <- k;
+                fc.(pos) <- 0
+              end;
+              fc.(pos) <- fc.(pos) + 1;
+              if fc.(pos) > !peak_fan then peak_fan := fc.(pos)
+            end
+            else if
+              (not is_output.(ti)) || mark_get initialized.(ti) f = 1
+            then begin
+              (* a scratchpad read; for an output, the reload of an
+                 existing partial sum *)
+              incr reads;
+              fetches.(ti) <- fetches.(ti) + 1;
+              record ti f
+            end
+          end
+        done
+      done
+    done;
+    let step_cycles =
+      max 1
+        ((!reads + !writes + spec.Arch.Spec.bandwidth - 1)
+        / spec.Arch.Spec.bandwidth)
+    in
+    stalls := !stalls + (step_cycles - 1);
+    cycles := !cycles + step_cycles;
+    (* commit registers for the next stamp, then probe the post-commit
+       occupancy of the PEs busy this stamp *)
+    for j = 0 to nk - 1 do
+      let p = stamp_pe.(j) in
+      let held = ref 0 in
+      for ti = 0 to n_tensors - 1 do
+        push ti p j;
+        held := !held + live.((p * n_tensors) + ti)
+      done;
+      if !held > !peak_pe then peak_pe := !held
+    done
+  done;
   (* final drain: all live output partial sums return to the scratchpad *)
   let final_writes = ref 0 in
-  Array.iteri
-    (fun ti out ->
-      if out then begin
-        let distinct = Hashtbl.create 64 in
+  for ti = 0 to n_tensors - 1 do
+    if is_output.(ti) then begin
+      let cap = caps.(ti) and lens = ring_len.(ti) and data = ring.(ti) in
+      (* every PE's register contents, newest slot first *)
+      let iter_held f =
         for p = 0 to pe_size - 1 do
-          List.iter
-            (fun g -> Hashtbl.replace distinct g ())
-            (reg_elements ((p * n_tensors) + ti))
-        done;
-        Hashtbl.iter (fun g () -> record tensors.(ti) g) distinct;
-        final_writes := !final_writes + Hashtbl.length distinct;
-        writebacks.(ti) <- writebacks.(ti) + Hashtbl.length distinct
-      end)
-    is_output;
+          let reg = (p * n_tensors) + ti in
+          for d = 0 to count.(reg) - 1 do
+            let slot = (p * slots) + ((head.(reg) - d + slots) mod slots) in
+            for e = slot * cap to (slot * cap) + lens.(slot) - 1 do
+              f data.(e)
+            done
+          done
+        done
+      in
+      let distinct =
+        match trace with
+        | None ->
+            let tag = 2 * (n_stamps + 1) in
+            let u = used.(ti) and n = ref 0 in
+            iter_held (fun g ->
+                if mark_get u g < tag then begin
+                  mark_set u g tag;
+                  incr n
+                end);
+            !n
+        | Some f ->
+            (* the drain's trace order is an element-keyed hash table's
+               iteration order: replay the same insertions into one *)
+            let tbl = Hashtbl.create 64 in
+            iter_held (fun g ->
+                let a = Array.make (Array.length bases.(ti)) 0 in
+                C.decode bases.(ti) g a;
+                Hashtbl.replace tbl a ());
+            Hashtbl.iter (fun g () -> f tensors.(ti) g) tbl;
+            Hashtbl.length tbl
+      in
+      final_writes := !final_writes + distinct;
+      writebacks.(ti) <- writebacks.(ti) + distinct
+    end
+  done;
   cycles :=
     !cycles
     + ((!final_writes + spec.Arch.Spec.bandwidth - 1)
       / spec.Arch.Spec.bandwidth);
   let n_instances = Ir.Tensor_op.n_instances op in
-  Obs.add c_stamps (List.length order);
+  Obs.add c_stamps n_stamps;
   Obs.add c_fetches (Array.fold_left ( + ) 0 fetches);
   Obs.add c_writebacks (Array.fold_left ( + ) 0 writebacks);
   Obs.add c_stalls !stalls;
   {
     cycles = !cycles;
-    busy_pe_cycles = !busy;
+    busy_pe_cycles = n;
     n_instances;
     pe_size;
     utilization =

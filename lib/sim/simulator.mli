@@ -4,11 +4,16 @@
 
     The machine executes time-stamps in lexicographic order; each PE
     keeps a register file per tensor holding the elements touched in the
-    last [window] stamps; interval-1 interconnects forward a neighbor's
-    previous-stamp elements, interval-0 wires share one fetch per element
-    per cycle; scratchpad traffic is limited to [bandwidth] words/cycle
-    and surplus shows up as stall cycles; output partial sums write back
-    on eviction and reload when they return. *)
+    last [window] stamps it was busy; interval-1 interconnects forward
+    elements a neighbor holds, interval-0 wires share one fetch per
+    element per cycle; scratchpad traffic is limited to [bandwidth]
+    words/cycle and surplus shows up as stall cycles; output partial sums
+    write back on eviction and reload when they return.
+
+    It shares the IR, iteration, mixed-radix encodings, staged evaluators
+    and the interconnect predecessor table with
+    {!Tenet_model.Concrete}, and none of the analytical models' reuse,
+    attribution, counting or metric logic. *)
 
 type tensor_traffic = {
   tensor : string;
@@ -48,7 +53,15 @@ val run :
   result
 (** [window] defaults to 1 (single-stamp registers).  [trace] is invoked
     with (tensor, element) for every scratchpad access, in program order,
-    feeding {!Reuse_distance}. *)
+    feeding {!Reuse_distance}.  The element array may be a buffer the
+    simulator reuses: it is valid only during the call, so a callback
+    that keeps it must copy it.
+
+    Raises {!Tenet_model.Concrete.Invalid_dataflow} before simulating
+    when the space stamp's rank is not the PE array's or a space
+    coordinate leaves the array (the texts of
+    {!Tenet_dataflow.Dataflow.space_violation}), and when two instances
+    share a spacetime-stamp. *)
 
 val to_string : result -> string
 

@@ -251,6 +251,30 @@ echo "== capacity sanitizer shard (TENET_CHECK_VERIFY=1) =="
 # implement the same attribution from independent code paths.
 TENET_CHECK_VERIFY=1 dune exec test/test_check_verify.exe >/dev/null
 
+echo "== simulator CLI contract (tenet simulate on invalid dataflows) =="
+# A dataflow whose space stamp has the wrong rank for the PE array, that
+# leaves the array, or that puts two instances on one PE in one stamp
+# must fail up front with the analyze path's "invalid dataflow:" text:
+# never an index error, and never a result from aliased PEs.
+sim_rejects() {
+  if dune exec -- tenet simulate "$@" \
+      >"$tmp_root/simulate.out" 2>"$tmp_root/simulate.err"; then
+    echo "tenet simulate $* accepted an invalid dataflow"
+    exit 1
+  fi
+  if grep -q 'index out of bounds' "$tmp_root/simulate.err" \
+      || ! grep -q 'invalid dataflow:' "$tmp_root/simulate.err"; then
+    cat "$tmp_root/simulate.err"
+    echo "tenet simulate $*: expected an invalid dataflow error"
+    exit 1
+  fi
+  echo "rejected: $(cat "$tmp_root/simulate.err")"
+}
+sim_rejects --space 'i%8' --time 'i/8,j,k'
+sim_rejects --sizes 16,8,8 --space 'i%16,j%8' --time 'i/16,j/8,k'
+sim_rejects --arch systolic-64x1 --space 'i%8,j%8' --time 'i/8,j/8,k'
+sim_rejects --sizes 8,8,8 --space 'i%8,j%8' --time 'j'
+
 echo "== benchmark digests (perfbench/run.py, seed 1) =="
 # The committed seed-1 digests pin the output bytes of every benchmark
 # op, so a changed byte fails here before it fails the benchmark.

@@ -158,6 +158,40 @@ let test_windowed_traffic_parity () =
         (y.Sim.Simulator.writebacks + y.Sim.Simulator.fetches))
     [ 1; 3 ]
 
+(* Invalid dataflows are rejected before the walk, with the texts the
+   analytical path uses: never an out-of-bounds index, and never a
+   result from PEs aliased by a too-short space stamp. *)
+let test_rejects_invalid () =
+  let gemm ni nj nk = Ir.Kernels.gemm ~ni ~nj ~nk in
+  let rejects what arch op space time want =
+    let spec = Arch.Repository.find arch in
+    let dims = Ir.Tensor_op.iter_names op in
+    let df =
+      Df.Dataflow.make ~name:"t"
+        ~space:(Tenet.Isl.Parser.exprs ~dims space)
+        ~time:(Tenet.Isl.Parser.exprs ~dims time)
+    in
+    (match Sim.Simulator.run spec op df with
+    | _ -> Alcotest.failf "%s: simulated" what
+    | exception M.Concrete.Invalid_dataflow msg ->
+        Alcotest.(check string) what want msg);
+    (* the rank and containment texts are first_violation's *)
+    match Df.Dataflow.space_violation op df spec.Arch.Spec.pe with
+    | Some msg ->
+        Alcotest.(check (option string))
+          (what ^ " = first_violation") (Some msg)
+          (Df.Dataflow.first_violation op df spec.Arch.Spec.pe)
+    | None -> ()
+  in
+  rejects "1D on a 2D array" "tpu-8x8-systolic" (gemm 16 16 16) "i%8"
+    "i/8,j,k" "t: space-stamp rank 1 vs PE array rank 2";
+  rejects "outside the array" "tpu-8x8-systolic" (gemm 16 8 8) "i%16,j%8"
+    "i/16,j/8,k" "t: space dim 0 spans [0, 15] outside [0, 8)";
+  rejects "2D on a 1D array" "systolic-64x1" (gemm 16 16 16) "i%8,j%8"
+    "i/8,j/8,k" "t: space-stamp rank 2 vs PE array rank 1";
+  rejects "non-injective" "tpu-8x8-systolic" (gemm 8 8 8) "i%8,j%8" "j"
+    "t: two instances share a spacetime-stamp"
+
 (* The simulator pinned over the zoo.  test/golden/sim_zoo.txt holds one
    line per run, recorded from the simulator before its int-code rewrite:
    every Checker.zoo_subjects (arch, dataflow) pair at small sizes, at
@@ -294,6 +328,8 @@ let () =
             test_reloaded_partial_sums;
           Alcotest.test_case "mesh vs systolic" `Quick
             test_mesh_vs_systolic_traffic;
+          Alcotest.test_case "rejects invalid dataflows" `Quick
+            test_rejects_invalid;
         ] );
       ("golden", [ Alcotest.test_case "zoo pin" `Quick test_zoo_golden ]);
     ]
