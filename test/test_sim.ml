@@ -196,8 +196,9 @@ let test_rejects_invalid () =
    line per run, recorded from the simulator before its int-code rewrite:
    every Checker.zoo_subjects (arch, dataflow) pair at small sizes, at
    register windows 1-3 and at the repository and a 1-word bandwidth,
-   plus Fig 11's two shapes reduced.  Every result field, the four peak
-   probes and the order of the access trace must stay byte-identical. *)
+   plus Fig 11's two shapes reduced and a GEMM with element spaces past
+   2^20 codes.  Every result field, the four peak probes and the order
+   of the access trace must stay byte-identical. *)
 
 type zoo_run = {
   label : string;
@@ -275,7 +276,41 @@ let zoo_runs () : zoo_run list =
             [ None; Some 1 ])
         [ (3, 3, 6, 3); (4, 2, 5, 3) ]
   in
-  zoo @ fig11
+  (* a GEMM whose Y and A subscripts stride by 300,000, which puts both
+     element spaces past 2^20 codes *)
+  let strided =
+    let module A = Tenet.Isl.Aff in
+    let strided x y = A.Add (A.Mul (A.Int 300_000, A.var x), A.var y) in
+    let acc tensor subscripts direction =
+      { Ir.Tensor_op.tensor; subscripts; direction }
+    in
+    Ir.Tensor_op.make
+      ~iters:[ ("i", 0, 5); ("j", 0, 6); ("k", 0, 7) ]
+      ~accesses:
+        [
+          acc "Y" [ strided "i" "j" ] Ir.Tensor_op.Write;
+          acc "A" [ strided "i" "k" ] Ir.Tensor_op.Read;
+          acc "B" [ A.var "k"; A.var "j" ] Ir.Tensor_op.Read;
+        ]
+      ()
+  in
+  let wide =
+    List.concat_map
+      (fun (arch, df) ->
+        let spec = Arch.Repository.find arch in
+        List.concat_map
+          (fun window ->
+            List.map
+              (fun bw ->
+                run ~arch ~kernel:"gemm-strided" ~window ~bw spec strided df)
+              [ None; Some 1 ])
+          [ 1; 2; 3 ])
+      [
+        ("tpu-8x8-systolic", Df.Zoo.gemm_ij_p_ijk_t ());
+        ("systolic-64x1", Df.Zoo.gemm_k_p_ij_t ~p:4 ());
+      ]
+  in
+  zoo @ fig11 @ wide
 
 (* One golden line: the subject, the result's JSON bytes, the four peak
    probes, and an MD5 of the scratchpad access trace. *)
