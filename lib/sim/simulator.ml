@@ -196,7 +196,9 @@ let run ?(window = 1) ?trace (spec : Arch.Spec.t) (op : Ir.Tensor_op.t)
      slot per stamp, so no ring needs more slots than there are stamps. *)
   let slots = max 0 (min window n_stamps) in
   let ring = Array.map (fun cap -> Array.make (pe_size * slots * cap) 0) caps in
-  let ring_len = Array.init n_tensors (fun _ -> Array.make (pe_size * slots) 0) in
+  let ring_len =
+    Array.init n_tensors (fun _ -> Array.make (pe_size * slots) 0)
+  in
   let count = Array.make (pe_size * n_tensors) 0 in
   let head = Array.make (pe_size * n_tensors) 0 in
   (* distinct codes held across each ring, kept as slots come and go *)
@@ -228,7 +230,9 @@ let run ?(window = 1) ?trace (spec : Arch.Spec.t) (op : Ir.Tensor_op.t)
   let served = ref 0 in
   let edge_seq = Array.make pe_size (-1) and edge_cnt = Array.make pe_size 0 in
   let supply = if interval = 0 then need else ring in
-  let fan_stamp = Array.map (fun a -> Array.make (Array.length a) (-1)) supply in
+  let fan_stamp =
+    Array.map (fun a -> Array.make (Array.length a) (-1)) supply
+  in
   let fan_cnt = Array.map (fun a -> Array.make (Array.length a) 0) supply in
   let fetches = Array.make n_tensors 0 in
   let writebacks = Array.make n_tensors 0 in
@@ -359,7 +363,8 @@ let run ?(window = 1) ?trace (spec : Arch.Spec.t) (op : Ir.Tensor_op.t)
           let data = ring.(ti) in
           for e = slot * cap to (slot * cap) + ring_len.(ti).(slot) - 1 do
             let g = data.(e) in
-            if ring_find ti p g oldest < 0 && mark_get used.(ti) g < tag then begin
+            if ring_find ti p g oldest < 0 && mark_get used.(ti) g < tag
+            then begin
               incr writes;
               writebacks.(ti) <- writebacks.(ti) + 1;
               record ti g;
@@ -442,6 +447,7 @@ let run ?(window = 1) ?trace (spec : Arch.Spec.t) (op : Ir.Tensor_op.t)
       let distinct =
         match trace with
         | None ->
+            (* count distinct codes under a tag above every stamp's *)
             let tag = 2 * (n_stamps + 1) in
             let u = used.(ti) and n = ref 0 in
             iter_held (fun g ->
@@ -451,8 +457,9 @@ let run ?(window = 1) ?trace (spec : Arch.Spec.t) (op : Ir.Tensor_op.t)
                 end);
             !n
         | Some f ->
-            (* the drain's trace order is an element-keyed hash table's
-               iteration order: replay the same insertions into one *)
+            (* the drain's order in the trace is that of an
+               element-keyed hash table filled in this order; reuse
+               distances depend on it *)
             let tbl = Hashtbl.create 64 in
             iter_held (fun g ->
                 let a = Array.make (Array.length bases.(ti)) 0 in

@@ -254,7 +254,9 @@ let zoo_runs () : zoo_run list =
       ~topology:Arch.Interconnect.Row_col_broadcast ~bandwidth:64 ()
   in
   let maeri = Arch.Repository.maeri_like ~n:63 ~bandwidth:64 () in
-  let conv k c o r = Ir.Kernels.conv2d ~nk:k ~nc:c ~nox:o ~noy:o ~nrx:r ~nry:r in
+  let conv k c o r =
+    Ir.Kernels.conv2d ~nk:k ~nc:c ~nox:o ~noy:o ~nrx:r ~nry:r
+  in
   let fig11 =
     List.concat_map
       (fun (k, c, o, r) ->
@@ -319,7 +321,9 @@ let zoo_line (z : zoo_run) : string =
   let buf = Buffer.create 4096 in
   let trace tensor element =
     Buffer.add_string buf tensor;
-    Array.iter (fun v -> Buffer.add_string buf (Printf.sprintf " %d" v)) element;
+    Array.iter
+      (fun v -> Buffer.add_string buf (Printf.sprintf " %d" v))
+      element;
     Buffer.add_char buf '\n'
   in
   let traced = Sim.Simulator.run ~window:z.window ~trace z.spec z.op z.df in
