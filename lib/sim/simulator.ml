@@ -141,7 +141,7 @@ let run ?(window = 1) ?trace (spec : Arch.Spec.t) (op : Ir.Tensor_op.t)
   let p_scratch = Array.make r 0 and t_scratch = Array.make m 0 in
   (* bucket instances by time-stamp, newest first; the walk visits
      instance codes 0, 1, 2, ... in turn *)
-  let n = Array.fold_left (fun a (_, e) -> a * e) 1 c.C.iters in
+  let n = Array.fold_left (fun a (_, e) -> a * max 0 e) 1 c.C.iters in
   let pe_of_inst = Array.make n 0 in
   let buckets : (int, int list ref) Hashtbl.t = Hashtbl.create 4096 in
   let tcodes = ref [] in
