@@ -54,7 +54,6 @@ let make ?(bandwidth = 64) ?buffer_words ?(energy = Energy.default)
   }
 
 let with_bandwidth bandwidth t = { t with bandwidth }
-let with_topology topology t = { t with topology }
 
 let with_capacities ?scratchpad_bytes ?pe_regs ?link_width ?pe_ports
     ?max_fanout ?dram_bw t =

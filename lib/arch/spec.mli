@@ -39,7 +39,6 @@ val make :
     non-positive bandwidth or capacity. *)
 
 val with_bandwidth : int -> t -> t
-val with_topology : Interconnect.t -> t -> t
 
 val with_capacities :
   ?scratchpad_bytes:int ->

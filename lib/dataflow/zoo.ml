@@ -246,8 +246,6 @@ let catalog ?(p2 = 8) ?(p1 = 64) () : (string * Dataflow.t) list =
   @ tag "jacobi2d" (jacobi_all ~p2 ~p1 ())
   @ tag "mmc" (mmc_all ~p:p2 ())
 
-let all_names () = List.map fst (catalog ())
-
 let find ?(p2 = 8) ?(p1 = 64) (name : string) : Dataflow.t =
   let cat = catalog ~p2 ~p1 () in
   match List.assoc_opt name cat with

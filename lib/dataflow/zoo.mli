@@ -75,8 +75,6 @@ val catalog : ?p2:int -> ?p1:int -> unit -> (string * Dataflow.t) list
     (["gemm/(IJ-P | J,IJK-T)"]), instantiated at 2D width [p2] and 1D
     width [p1]. *)
 
-val all_names : unit -> string list
-
 val find : ?p2:int -> ?p1:int -> string -> Dataflow.t
 (** Look a dataflow up by qualified name, or by its bare Table III name
     when unambiguous.  Raises [Invalid_argument] listing the known names

@@ -142,14 +142,9 @@ let eval t src =
 let is_single_valued t = Set.card (domain t) = card t
 
 let is_injective t = Set.card (range t) = card t
-let is_bijective_on_domain t = is_single_valued t && is_injective t
 
 let fix_input ~dim v t =
   { t with disjuncts = List.map (fun b -> Bset.fix b ~dim v) t.disjuncts }
-
-let fix_output ~dim v t =
-  let d = n_in t + dim in
-  { t with disjuncts = List.map (fun b -> Bset.fix b ~dim:d v) t.disjuncts }
 
 (* Build a map from quasi-affine output expressions of the input dims:
    { dom -> ran : ran_i = expr_i(dom) } *)

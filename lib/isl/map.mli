@@ -66,10 +66,8 @@ val eval : t -> int array -> int array option
 
 val is_single_valued : t -> bool
 val is_injective : t -> bool
-val is_bijective_on_domain : t -> bool
 
 val fix_input : dim:int -> int -> t -> t
-val fix_output : dim:int -> int -> t -> t
 
 val constrain : ?eqs:Aff.t list -> ?ges:Aff.t list -> t -> t
 (** Intersect with quasi-affine constraints over the concatenated

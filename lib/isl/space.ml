@@ -4,7 +4,6 @@ type t = { tuple : string; dims : string list }
 
 let make tuple dims = { tuple; dims }
 let dim t = List.length t.dims
-let anonymous dims = { tuple = ""; dims }
 
 let index t name =
   let rec go i = function

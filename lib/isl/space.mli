@@ -8,9 +8,6 @@ type t = { tuple : string; dims : string list }
 val make : string -> string list -> t
 (** [make tuple dims] is the space [tuple\[dims\]]. *)
 
-val anonymous : string list -> t
-(** A space with an empty tuple name. *)
-
 val dim : t -> int
 (** Number of dimensions. *)
 

@@ -89,12 +89,3 @@ let analyze ?(adjacency = `Inner_step) ?(validate = true)
     ~n_timestamps:(Hashtbl.length hist)
     ~busiest:(Hashtbl.fold (fun _ r acc -> max acc !r) hist 0)
     ()
-
-(* Volumes for a single tensor without the full report (used by DSE inner
-   loops where only one tensor matters). *)
-let tensor_volumes ?(adjacency = `Inner_step) (spec : Arch.Spec.t)
-    (op : Ir.Tensor_op.t) (df : Df.Dataflow.t) (tensor : string) :
-    Metrics.volumes =
-  let channels = Df.Spacetime.channels ~adjacency spec op df in
-  let assignment = Df.Dataflow.data_assignment op df tensor in
-  Volumes.compute ~assignment ~channels

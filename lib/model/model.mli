@@ -26,12 +26,3 @@ val analyze :
   Metrics.t
 (** Full metrics by relation counting.  Raises {!Invalid_dataflow} when
     validation fails. *)
-
-val tensor_volumes :
-  ?adjacency:[ `Inner_step | `Lex_step ] ->
-  Arch.Spec.t ->
-  Ir.Tensor_op.t ->
-  Df.Dataflow.t ->
-  string ->
-  Metrics.volumes
-(** Volumes of a single tensor (no validation). *)

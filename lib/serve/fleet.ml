@@ -4,9 +4,9 @@
    [create] forks [Config.workers] worker processes, each holding one
    end of a socketpair and running a sequential JSON-lines loop (read a
    request line, [Protocol.handle_line], write the response line).  The
-   parent is a single-threaded [Unix.select] event loop that never
-   touches the domain pool — it parses, admits and dispatches; all
-   model work happens in the children.
+   parent is a single-threaded [Unix.select] pump that never touches
+   the domain pool — it parses, admits and dispatches; all model work
+   happens in the children.
 
    Forking must happen before any domain is spawned: the OCaml 5
    runtime refuses [Unix.fork] once other domains exist.  [create]
@@ -14,49 +14,59 @@
    parent loads the persistent cache *before* forking, every worker
    inherits the warm in-memory cache for free.
 
-   Two dispatch shapes:
+   One pump drives the workers for both entry points.  A request line
+   goes to the least-loaded live worker, at most [pipeline_depth]
+   outstanding per worker, through a per-worker buffer drained by
+   nonblocking writes: a worker busy writing a long response never
+   stalls the parent, which keeps reading it.  Each worker's
+   outstanding lines queue in dispatch order, the order its sequential
+   loop answers them.
 
-   - [batch]: requests are assigned round-robin by input index, so
-     worker [w]'s [k]-th response is global response [k*N + w] — the
-     reassembled output is in input order and byte-identical to the
-     single-process batch of the same lines (the golden transcript is
-     diffed against a multi-worker run in CI).  No admission control:
-     batch is offline, nothing sheds.
+   - [batch]: every input line is a slot, and responses print in slot
+     order.  A response depends only on its line, so the output is
+     byte-identical to the single-process batch of the same lines (the
+     golden transcript is diffed against a multi-worker run in CI).  No
+     admission control: batch is offline, nothing sheds.
 
-   - [session]: the serving loop.  Client lines are admitted through
-     the graduated watermarks ({!Admission}), queue in the parent, and
-     are dispatched to the least-loaded worker with a small pipeline
-     window per worker (enough to hide the socketpair round-trip, small
-     enough that deadline-expired shedding still sees the queue).
+   - [session]: the serving loop.  Client lines pass the graduated
+     watermarks ({!Admission}) and queue in the parent; the small
+     per-worker window hides the socketpair round-trip but leaves the
+     backlog in that queue, where deadline-expired shedding sees it.
      Responses are forwarded in completion order, like the in-process
      server.  [stats] is answered inline by the parent, so the fleet
-     stays observable while every worker is busy.
+     stays observable while every worker is busy.  The client fd is
+     read only once [select] reports it readable and is never made
+     nonblocking: over a socket, responses go out on the same fd, and a
+     client that reads slowly must only slow down its own responses.
 
-   A worker that dies mid-request surfaces as an [Internal] error
-   response for each of its outstanding requests (counted on
-   [serve.worker_failures]); the fleet keeps serving on the survivors.
-   At shutdown the parent half-closes every socketpair; workers see
-   EOF, persist their cache slice ({!Api.save_disk_cache}, merged
-   across workers through the lock file) and exit.  A parent killed
-   outright has the same effect — fd closure is the shutdown signal,
-   so even SIGKILL on the front end loses no cached work. *)
+   Every line gets exactly one response.  The outstanding lines of a
+   worker that dies get an [Internal] "fleet worker exited mid-request"
+   error (counted on [serve.worker_failures]) and the fleet keeps
+   serving on the survivors; once none is left, each further line gets
+   "no fleet worker available".  At shutdown the parent closes every
+   socketpair; workers see EOF, persist their cache slice
+   ({!Api.save_disk_cache}, merged across workers through the lock
+   file) and exit.  A parent killed outright has the same effect — fd
+   closure is the shutdown signal, so even SIGKILL on the front end
+   loses no cached work. *)
 
 module Obs = Tenet_obs
 module Parallel = Tenet_util.Parallel
 
 let c_worker_failures = Obs.counter "serve.worker_failures"
 
-(* Per-worker dispatch window in [session] mode: deep enough to hide
-   the socketpair round-trip behind compute, shallow enough that load
-   stays visible in the parent's queue for the admission watermarks. *)
+(* Per-worker dispatch window: deep enough to hide the socketpair
+   round-trip behind compute, shallow enough that load stays visible in
+   the parent's queue for the admission watermarks. *)
 let pipeline_depth = 4
 
 type worker = {
   w_pid : int;
-  w_fd : Unix.file_descr; (* parent's end of the socketpair *)
-  mutable w_inflight : int; (* session mode: dispatched, unanswered *)
-  w_outstanding : string Queue.t; (* their request ids, dispatch order *)
+  w_fd : Unix.file_descr; (* parent's end of the socketpair, nonblocking *)
+  w_wbuf : Buffer.t; (* dispatched request lines not yet fully written *)
+  mutable w_written : int; (* bytes of [w_wbuf] already written *)
   w_rbuf : Buffer.t; (* partial response line *)
+  w_outstanding : (int * string) Queue.t; (* (slot, line), dispatch order *)
   mutable w_alive : bool;
 }
 
@@ -120,18 +130,7 @@ let create (cfg : Config.t) : t =
   flush stdout;
   flush stderr;
   let earlier_parent_fds = ref [] in
-  let workers =
-    Array.make cfg.Config.workers
-      {
-        w_pid = 0;
-        w_fd = Unix.stdin;
-        w_inflight = 0;
-        w_outstanding = Queue.create ();
-        w_rbuf = Buffer.create 64;
-        w_alive = false;
-      }
-  in
-  for i = 0 to cfg.Config.workers - 1 do
+  let spawn i =
     let parent_fd, child_fd =
       Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0
     in
@@ -147,160 +146,212 @@ let create (cfg : Config.t) : t =
     | pid ->
         (try Unix.close child_fd with Unix.Unix_error _ -> ());
         earlier_parent_fds := parent_fd :: !earlier_parent_fds;
-        workers.(i) <-
-          {
-            w_pid = pid;
-            w_fd = parent_fd;
-            w_inflight = 0;
-            w_outstanding = Queue.create ();
-            w_rbuf = Buffer.create 4096;
-            w_alive = true;
-          }
-  done;
-  { f_cfg = cfg; f_workers = workers }
+        Unix.set_nonblock parent_fd;
+        {
+          w_pid = pid;
+          w_fd = parent_fd;
+          w_wbuf = Buffer.create 4096;
+          w_written = 0;
+          w_rbuf = Buffer.create 4096;
+          w_outstanding = Queue.create ();
+          w_alive = true;
+        }
+  in
+  { f_cfg = cfg; f_workers = Array.init cfg.Config.workers spawn }
 
+let worker_pids (t : t) : int list =
+  Array.to_list (Array.map (fun w -> w.w_pid) t.f_workers)
+
+(* Closing a worker's socket is its shutdown signal: it reads EOF (or
+   fails the write of a response nobody wants), persists its cache
+   slice and exits, which [waitpid] waits out.  Buried workers were
+   closed already and are only reaped. *)
 let shutdown (t : t) : unit =
   Array.iter
     (fun w ->
-      try Unix.shutdown w.w_fd Unix.SHUTDOWN_SEND
-      with Unix.Unix_error _ -> ())
+      if w.w_alive then begin
+        w.w_alive <- false;
+        try Unix.close w.w_fd with Unix.Unix_error _ -> ()
+      end)
     t.f_workers;
-  (* Drain to EOF so a worker blocked writing a response can finish,
-     then reap.  The draining also waits out the workers' cache
-     persistence (they write the disk cache after their loop ends). *)
   Array.iter
-    (fun w ->
-      (try
-         let buf = Bytes.create 4096 in
-         let rec drain () = if Unix.read w.w_fd buf 0 4096 > 0 then drain () in
-         drain ()
-       with Unix.Unix_error _ -> ());
-      (try Unix.close w.w_fd with Unix.Unix_error _ -> ());
-      try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ())
+    (fun w -> try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ())
     t.f_workers
 
-let rec select_retry rds wrs timeout =
-  match Unix.select rds wrs [] timeout with
-  | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-      select_retry rds wrs timeout
+let rec select_retry rds wrs =
+  match Unix.select rds wrs [] (-1.0) with
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> select_retry rds wrs
   | r -> r
 
-(* ------------------------------------------------------------------ *)
-(* Batch: round-robin fan-out, index-ordered reassembly.               *)
-(* ------------------------------------------------------------------ *)
+(* A failure response for [line], echoing the id its own decode
+   recovers. *)
+let failure_line line msg =
+  let id =
+    match Protocol.parse_request line with
+    | Ok req -> req.Api.Request.id
+    | Error resp -> resp.Api.Response.id
+  in
+  Protocol.response_line (Api.Response.error ~id Api.Response.Internal msg)
 
-let batch (cfg : Config.t) (ic : in_channel) (oc : out_channel) : unit =
-  let lines = Protocol.read_requests ic in
-  let n = List.length lines in
-  if n = 0 then flush oc
-  else begin
-    let t = create cfg in
-    let ws = t.f_workers in
-    let nw = Array.length ws in
-    (* line i -> worker (i mod nw), so worker w's k-th response is
-       global response k*nw + w: reassembly is pure arithmetic *)
-    let payload = Array.init nw (fun _ -> Buffer.create 4096) in
-    let expected = Array.make nw 0 in
-    List.iteri
-      (fun i line ->
-        let w = i mod nw in
-        Buffer.add_string payload.(w) line;
-        Buffer.add_char payload.(w) '\n';
-        expected.(w) <- expected.(w) + 1)
-      lines;
-    let send = Array.map Buffer.contents payload in
-    let sent = Array.make nw 0 in
-    let shut = Array.make nw false in
-    let received = Array.make nw 0 in
-    let responses = Array.make n "" in
-    Array.iter (fun w -> Unix.set_nonblock w.w_fd) ws;
-    let half_close w =
-      if not shut.(w) then begin
-        (try Unix.shutdown ws.(w).w_fd Unix.SHUTDOWN_SEND
-         with Unix.Unix_error _ -> ());
-        shut.(w) <- true
-      end
+(* The one event loop behind [batch] and [session].  [next ()] yields
+   the next [(slot, line)] to dispatch, or [None] when nothing waits;
+   [respond slot response_line] delivers each line's one response.
+   With [client], the loop also reads that fd, only once [select]
+   reports it readable, and hands each complete line to the handler.
+   Returns once the client is at EOF (at once without one) and every
+   dispatched line has been answered. *)
+let pump (t : t) ?client ~next ~respond () : unit =
+  let ws = t.f_workers in
+  let chunk = Bytes.create 65536 in
+  let least_loaded () =
+    Array.fold_left
+      (fun best w ->
+        let load = Queue.length w.w_outstanding in
+        if (not w.w_alive) || load >= pipeline_depth then best
+        else
+          match best with
+          | Some b when Queue.length b.w_outstanding <= load -> best
+          | _ -> Some w)
+      None ws
+  in
+  let rec dispatch () =
+    match least_loaded () with
+    | None when Array.exists (fun w -> w.w_alive) ws -> () (* all full *)
+    | target -> (
+        match next () with
+        | None -> ()
+        | Some (slot, line) ->
+            (match target with
+            | Some w ->
+                Buffer.add_string w.w_wbuf line;
+                Buffer.add_char w.w_wbuf '\n';
+                Queue.push (slot, line) w.w_outstanding
+            | None ->
+                respond slot (failure_line line "no fleet worker available"));
+            dispatch ())
+  in
+  (* Write errors are left to the read side: a worker whose socket
+     refuses writes has exited, and its end then reads as EOF. *)
+  let write_worker w =
+    let len = Buffer.length w.w_wbuf - w.w_written in
+    if w.w_alive && len > 0 then
+      match
+        Unix.write_substring w.w_fd (Buffer.contents w.w_wbuf) w.w_written len
+      with
+      | k when k = len ->
+          Buffer.clear w.w_wbuf;
+          w.w_written <- 0
+      | k -> w.w_written <- w.w_written + k
+      | exception Unix.Unix_error _ -> ()
+  in
+  let bury w =
+    w.w_alive <- false;
+    (try Unix.close w.w_fd with Unix.Unix_error _ -> ());
+    Queue.iter
+      (fun (slot, line) ->
+        Obs.incr c_worker_failures;
+        respond slot (failure_line line "fleet worker exited mid-request"))
+      w.w_outstanding;
+    Queue.clear w.w_outstanding;
+    Buffer.clear w.w_wbuf;
+    w.w_written <- 0
+  in
+  let read_worker w =
+    match Unix.read w.w_fd chunk 0 (Bytes.length chunk) with
+    | 0 -> bury w
+    | k ->
+        Buffer.add_subbytes w.w_rbuf chunk 0 k;
+        List.iter
+          (fun response ->
+            let slot, _ = Queue.pop w.w_outstanding in
+            respond slot response)
+          (Protocol.drain_lines w.w_rbuf)
+    | exception
+        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+      ->
+        ()
+    | exception Unix.Unix_error _ -> bury w
+  in
+  let client = ref client in
+  let client_buf = Buffer.create 4096 in
+  (* A line at a time, dispatching in between: the admission depth is
+     the real backlog, and with no worker left each line is answered
+     before the next is admitted. *)
+  let read_client fd on_line =
+    let lines =
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+      | k when k > 0 ->
+          Buffer.add_subbytes client_buf chunk 0 k;
+          Protocol.drain_lines client_buf
+      | _ | (exception Unix.Unix_error _) ->
+          (* EOF; an unterminated last line still counts, as it does
+             for [input_line] *)
+          client := None;
+          if Buffer.length client_buf > 0 then [ Buffer.contents client_buf ]
+          else []
     in
-    Array.iteri (fun w s -> if s = "" then half_close w) send;
-    let fd_index fd =
-      let rec find i = if ws.(i).w_fd == fd then i else find (i + 1) in
-      find 0
+    List.iter
+      (fun line ->
+        on_line line;
+        dispatch ())
+      lines
+  in
+  let rec loop () =
+    dispatch ();
+    Array.iter write_worker ws;
+    let busy =
+      List.filter
+        (fun w -> not (Queue.is_empty w.w_outstanding))
+        (Array.to_list ws)
     in
-    let finished () =
-      let ok = ref true in
-      Array.iteri (fun w r -> if r < expected.(w) then ok := false) received;
-      !ok
-    in
-    (* Interleave writes and reads through select: writing every
-       request first would deadlock once both socketpair buffers fill
-       (the worker blocks writing responses nobody reads, and stops
-       reading requests). *)
-    while not (finished ()) do
+    if Option.is_some !client || busy <> [] then begin
       let rds =
-        Array.to_list ws
-        |> List.filteri (fun w _ -> received.(w) < expected.(w))
-        |> List.map (fun w -> w.w_fd)
+        Option.fold ~none:[] ~some:(fun (fd, _) -> [ fd ]) !client
+        @ List.map (fun w -> w.w_fd) busy
       in
       let wrs =
-        Array.to_list ws
-        |> List.filteri (fun w _ -> sent.(w) < String.length send.(w))
-        |> List.map (fun w -> w.w_fd)
+        List.filter_map
+          (fun w ->
+            if w.w_written < Buffer.length w.w_wbuf then Some w.w_fd
+            else None)
+          busy
       in
-      let rs, wsel, _ = select_retry rds wrs (-1.0) in
+      let readable, _, _ = select_retry rds wrs in
       List.iter
         (fun fd ->
-          let w = fd_index fd in
-          let s = send.(w) in
-          (match
-             Unix.write_substring fd s sent.(w) (String.length s - sent.(w))
-           with
-          | k -> sent.(w) <- sent.(w) + k
-          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-            ->
-              ()
-          | exception Unix.Unix_error (Unix.EPIPE, _, _) ->
-              failwith "serve fleet: a batch worker died mid-batch");
-          if sent.(w) = String.length s then half_close w)
-        wsel;
-      List.iter
-        (fun fd ->
-          let w = fd_index fd in
-          let buf = Bytes.create 65536 in
-          match Unix.read fd buf 0 (Bytes.length buf) with
-          | 0 ->
-              if received.(w) < expected.(w) then
-                failwith
-                  (Printf.sprintf
-                     "serve fleet: batch worker %d exited after %d of %d \
-                      responses"
-                     w received.(w) expected.(w))
-          | k ->
-              Buffer.add_subbytes ws.(w).w_rbuf buf 0 k;
-              List.iter
-                (fun line ->
-                  responses.((received.(w) * nw) + w) <- line;
-                  received.(w) <- received.(w) + 1)
-                (Protocol.drain_lines ws.(w).w_rbuf)
-          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-            ->
-              ())
-        rs;
-      (* a worker with nothing left to say may have died: detected by
-         the 0-byte read above on its next readable event *)
-      ignore rs
-    done;
-    Array.iter
-      (fun w ->
-        (try Unix.close w.w_fd with Unix.Unix_error _ -> ());
-        try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ())
-      ws;
-    Array.iter
-      (fun line ->
-        output_string oc line;
-        output_char oc '\n')
-      responses;
-    flush oc
-  end
+          match !client with
+          | Some (cfd, on_line) when fd == cfd -> read_client cfd on_line
+          | _ -> (
+              match List.find_opt (fun w -> w.w_alive && w.w_fd == fd) busy with
+              | Some w -> read_worker w
+              | None -> ()))
+        readable;
+      loop ()
+    end
+  in
+  loop ()
+
+(* ------------------------------------------------------------------ *)
+(* Batch: every line a slot, responses in slot order.                  *)
+(* ------------------------------------------------------------------ *)
+
+let batch_session (t : t) (ic : in_channel) (oc : out_channel) : unit =
+  let jobs =
+    Queue.of_seq
+      (Seq.zip (Seq.ints 0) (List.to_seq (Protocol.read_requests ic)))
+  in
+  let responses = Array.make (Queue.length jobs) "" in
+  pump t
+    ~next:(fun () -> Queue.take_opt jobs)
+    ~respond:(fun slot line -> responses.(slot) <- line)
+    ();
+  Array.iter
+    (fun line ->
+      output_string oc line;
+      output_char oc '\n')
+    responses;
+  flush oc
 
 (* ------------------------------------------------------------------ *)
 (* Session: the serving loop.                                          *)
@@ -313,26 +364,21 @@ type pending = {
   p_pressure : bool; (* admitted at or past the low watermark *)
 }
 
-let total_inflight ws = Array.fold_left (fun a w -> a + w.w_inflight) 0 ws
-
-let write_all fd s =
-  let len = String.length s in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write_substring fd s !off (len - !off)
-  done
-
 let session (t : t) (ic : in_channel) (oc : out_channel) : unit =
   let cfg = t.f_cfg in
   let ws = t.f_workers in
   let pending : pending Queue.t = Queue.create () in
-  let cin = Unix.descr_of_in_channel ic in
-  let client_eof = ref false in
-  let client_buf = Buffer.create 4096 in
+  (* A client that hangs up loses only its own responses: the pump
+     still collects every outstanding one, so the fleet is clean for
+     the next session. *)
+  let connected = ref true in
   let respond_line line =
-    output_string oc line;
-    output_char oc '\n';
-    flush oc
+    if !connected then
+      try
+        output_string oc line;
+        output_char oc '\n';
+        flush oc
+      with Sys_error _ -> connected := false
   in
   let respond resp = respond_line (Protocol.response_line resp) in
   Api.set_extra_gauges (fun () ->
@@ -341,7 +387,9 @@ let session (t : t) (ic : in_channel) (oc : out_channel) : unit =
         ( "workers_alive",
           Array.fold_left (fun a w -> if w.w_alive then a + 1 else a) 0 ws );
         ("fleet_pending", Queue.length pending);
-        ("fleet_inflight", total_inflight ws);
+        ( "fleet_inflight",
+          Array.fold_left (fun a w -> a + Queue.length w.w_outstanding) 0 ws
+        );
       ]);
   let shed reason ~id ~waited_ms =
     Admission.note reason;
@@ -349,64 +397,23 @@ let session (t : t) (ic : in_channel) (oc : out_channel) : unit =
       (Api.Response.error ~id Api.Response.Overloaded
          (Admission.message cfg ~waited_ms reason))
   in
-  (* Fail a dead worker's outstanding requests: the client gets a real
-     response for each (never silence), the fleet keeps serving. *)
-  let bury w =
-    if w.w_alive then begin
-      w.w_alive <- false;
-      Queue.iter
-        (fun id ->
-          Obs.incr c_worker_failures;
-          respond
-            (Api.Response.error ~id Api.Response.Internal
-               "fleet worker exited mid-request"))
-        w.w_outstanding;
-      Queue.clear w.w_outstanding;
-      w.w_inflight <- 0;
-      try Unix.close w.w_fd with Unix.Unix_error _ -> ()
-    end
+  let rec next () =
+    match Queue.take_opt pending with
+    | None -> None
+    | Some _ when not !connected -> None (* nobody to answer *)
+    | Some p ->
+        let waited_ms = 1e3 *. (Obs.now () -. p.p_enqueued) in
+        if
+          p.p_pressure
+          && Admission.expired_in_queue
+               ~deadline_ms:p.p_req.Api.Request.deadline_ms ~waited_ms
+        then begin
+          shed Admission.Expired ~id:p.p_req.Api.Request.id ~waited_ms;
+          next ()
+        end
+        else Some (0, p.p_line)
   in
-  let capacity () =
-    Array.exists (fun w -> w.w_alive && w.w_inflight < pipeline_depth) ws
-  in
-  let rec dispatch_one (p : pending) =
-    let waited_ms = 1e3 *. (Obs.now () -. p.p_enqueued) in
-    if
-      p.p_pressure
-      && Admission.expired_in_queue
-           ~deadline_ms:p.p_req.Api.Request.deadline_ms ~waited_ms
-    then shed Admission.Expired ~id:p.p_req.Api.Request.id ~waited_ms
-    else begin
-      let best = ref None in
-      Array.iter
-        (fun w ->
-          if w.w_alive && w.w_inflight < pipeline_depth then
-            match !best with
-            | Some b when b.w_inflight <= w.w_inflight -> ()
-            | _ -> best := Some w)
-        ws;
-      match !best with
-      | None -> assert false (* caller checked [capacity] *)
-      | Some w -> (
-          match write_all w.w_fd (p.p_line ^ "\n") with
-          | () ->
-              w.w_inflight <- w.w_inflight + 1;
-              Queue.push p.p_req.Api.Request.id w.w_outstanding
-          | exception Unix.Unix_error _ ->
-              bury w;
-              if capacity () then dispatch_one p
-              else
-                respond
-                  (Api.Response.error ~id:p.p_req.Api.Request.id
-                     Api.Response.Internal "no fleet worker available"))
-    end
-  in
-  let pump () =
-    while (not (Queue.is_empty pending)) && capacity () do
-      dispatch_one (Queue.pop pending)
-    done
-  in
-  let handle_client_line line =
+  let on_line line =
     if not (Protocol.is_comment line) then
       match Protocol.parse_request line with
       | Error resp -> respond resp
@@ -430,80 +437,15 @@ let session (t : t) (ic : in_channel) (oc : out_channel) : unit =
                 }
                 pending)
   in
-  Unix.set_nonblock cin;
-  Fun.protect
-    ~finally:(fun () ->
-      try Unix.clear_nonblock cin with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  let chunk = Bytes.create 65536 in
-  let rec loop () =
-    pump ();
-    if !client_eof && Queue.is_empty pending && total_inflight ws = 0 then ()
-    else if not (Array.exists (fun w -> w.w_alive) ws) then begin
-      (* every worker is gone: answer what is queued, then stop *)
-      Queue.iter
-        (fun p ->
-          respond
-            (Api.Response.error ~id:p.p_req.Api.Request.id
-               Api.Response.Internal "no fleet worker available"))
-        pending;
-      Queue.clear pending
-    end
-    else begin
-      let rds =
-        (if !client_eof then [] else [ cin ])
-        @ (Array.to_list ws
-          |> List.filter (fun w -> w.w_alive && w.w_inflight > 0)
-          |> List.map (fun w -> w.w_fd))
-      in
-      if rds = [] then () (* client done, nothing in flight *)
-      else begin
-        let rs, _, _ = select_retry rds [] (-1.0) in
-        List.iter
-          (fun fd ->
-            if fd == cin then (
-              match Unix.read cin chunk 0 (Bytes.length chunk) with
-              | 0 -> client_eof := true
-              | k ->
-                  Buffer.add_subbytes client_buf chunk 0 k;
-                  List.iter handle_client_line (Protocol.drain_lines client_buf)
-              | exception
-                  Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-                  ())
-            else
-              let w =
-                let found = ref None in
-                Array.iter
-                  (fun w -> if w.w_alive && w.w_fd == fd then found := Some w)
-                  ws;
-                !found
-              in
-              match w with
-              | None -> ()
-              | Some w -> (
-                  match Unix.read fd chunk 0 (Bytes.length chunk) with
-                  | 0 -> bury w
-                  | k ->
-                      Buffer.add_subbytes w.w_rbuf chunk 0 k;
-                      List.iter
-                        (fun line ->
-                          (* per-worker completion order is dispatch
-                             order: the worker loop is sequential *)
-                          ignore (Queue.pop w.w_outstanding);
-                          w.w_inflight <- w.w_inflight - 1;
-                          respond_line line)
-                        (Protocol.drain_lines w.w_rbuf)
-                  | exception
-                      Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-                    ->
-                      ()))
-          rs;
-        loop ()
-      end
-    end
-  in
-  loop ()
+  pump t
+    ~client:(Unix.descr_of_in_channel ic, on_line)
+    ~next
+    ~respond:(fun _ line -> respond_line line)
+    ()
 
-let serve (cfg : Config.t) (ic : in_channel) (oc : out_channel) : unit =
+let with_fleet run (cfg : Config.t) ic oc =
   let t = create cfg in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> session t ic oc)
+  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> run t ic oc)
+
+let serve = with_fleet session
+let batch = with_fleet batch_session

@@ -3,11 +3,18 @@
 
     [create] forks N worker processes over socketpairs, each running a
     sequential JSON-lines request loop; the parent is a single-threaded
-    [select] pump that parses, admits ({!Admission}) and dispatches, and
-    reassembles responses.  Forking must precede any domain spawn — the
-    OCaml 5 runtime cannot fork once other domains exist — so fleets are
+    [select] pump, shared by {!session} and {!batch_session}, that
+    dispatches each line to the least-loaded worker and collects the
+    responses.  Forking must precede any domain spawn — the OCaml 5
+    runtime cannot fork once other domains exist — so fleets are
     created before the first parallel map; [create] fails with a clear
     message otherwise.
+
+    Every line gets exactly one response.  The outstanding lines of a
+    worker that dies are answered with an [Internal] "fleet worker
+    exited mid-request" error (counted on [serve.worker_failures]) and
+    the rest of the fleet keeps serving; once no worker is left, each
+    further line gets "no fleet worker available".
 
     Workers inherit the parent's warm in-memory cache (the parent loads
     the persistent tier before forking) and persist their own cache
@@ -22,25 +29,32 @@ val create : Config.t -> t
     spawned; raises [Failure] with an explanatory message if the
     parallel pool already started. *)
 
+val worker_pids : t -> int list
+(** The workers' process ids, in creation order (tests kill them). *)
+
 val session : t -> in_channel -> out_channel -> unit
 (** Serve one client connection through the fleet: graduated admission
     at arrival, deadline-expired shedding at dispatch under pressure,
     least-loaded dispatch with a bounded per-worker pipeline,
     completion-order responses.  [stats] requests are answered inline
-    by the parent.  Returns when the client closes its input and every
-    dispatched request has been answered.  A worker death surfaces as
-    [Internal] error responses for its in-flight requests (counted on
-    [serve.worker_failures]); the fleet keeps serving on the rest. *)
+    by the parent.  The client's fd is read only when it is readable
+    and never made nonblocking, so a client that reads slowly only
+    delays its own responses; one that hangs up loses them.  Returns
+    when the client closes its input and every dispatched request has
+    been answered. *)
+
+val batch_session : t -> in_channel -> out_channel -> unit
+(** Run every request line (blank and ['#'] lines skipped) through the
+    fleet and print the responses in input order: byte-identical to the
+    single-process batch of the same lines, since each response depends
+    only on its line.  No admission control — batch is offline. *)
 
 val shutdown : t -> unit
-(** Half-close every worker's socketpair, wait for the workers to
-    persist their cache slice and exit, and reap them. *)
+(** Close every worker's socketpair, wait for the workers to persist
+    their cache slice and exit, and reap them. *)
 
 val serve : Config.t -> in_channel -> out_channel -> unit
 (** [create] + one {!session} + [shutdown]. *)
 
 val batch : Config.t -> in_channel -> out_channel -> unit
-(** Fan a batch out round-robin and reassemble in input order: output
-    is byte-identical to the single-process batch of the same lines.
-    No admission control — batch is offline.  Raises [Failure] if a
-    worker dies mid-batch. *)
+(** [create] + one {!batch_session} + [shutdown]. *)

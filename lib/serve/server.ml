@@ -28,9 +28,9 @@
      back on session end.
 
    `batch` is the deterministic offline variant: it reads every request
-   line, evaluates them with the order-preserving Parallel.map — or the
-   round-robin fleet fan-out, which reassembles to the identical order —
-   and prints responses in input order, so a batch at any --jobs or
+   line, evaluates them with the order-preserving Parallel.map or
+   across the fleet, and prints responses in input order.  Each
+   response depends only on its line, so a batch at any --jobs or
    --workers count produces the byte-identical output of the same
    requests run one-shot. *)
 

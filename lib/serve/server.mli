@@ -26,12 +26,12 @@ val run : Config.t -> unit
 
 val run_batch : Config.t -> in_channel -> out_channel -> unit
 (** Evaluate every JSON-lines request (blank and ['#'] lines skipped)
-    and print responses in input order.  Deterministic: the output is
-    byte-identical at any job count, at any worker count (the fleet's
-    round-robin fan-out reassembles to input order), and to the same
-    requests run one-shot.  No admission control — batch is offline.
-    With [cache_dir] set, loads the persistent cache first and merges
-    it back after (each fleet worker merges its own slice). *)
+    and print responses in input order.  Deterministic: each response
+    depends only on its line, so the output is byte-identical at any
+    job count, at any worker count, and to the same requests run
+    one-shot.  No admission control — batch is offline.  With
+    [cache_dir] set, loads the persistent cache first and merges it
+    back after (each fleet worker merges its own slice). *)
 
 val session : Config.t -> in_channel -> out_channel -> unit
 (** One in-process serving session ([workers = 1]) on explicit

@@ -1,4 +1,3 @@
-let zeros n = Array.make n 0
 
 let dot a b =
   assert (Array.length a = Array.length b);

@@ -1,6 +1,5 @@
 (** Small helpers on [int array] treated as integer vectors. *)
 
-val zeros : int -> int array
 val dot : int array -> int array -> int
 val add : int array -> int array -> int array
 val sub : int array -> int array -> int array

@@ -48,14 +48,20 @@ while [ "$run" -le 10 ]; do
   run=$((run + 1))
 done
 
-echo "== serve golden across the worker fleet (tenet batch --workers 3) =="
-# The same transcript fanned out over pre-forked worker processes:
-# round-robin dispatch plus index-ordered reassembly must reproduce the
-# committed bytes exactly.
-TENET_SERVE_CACHE_MB=64 dune exec -- tenet batch \
-    test/golden/serve_requests.jsonl --workers 3 \
-  | diff - test/golden/serve_responses.golden.jsonl \
-  || { echo "fleet golden mismatch"; exit 1; }
+echo "== serve golden across the worker fleet (tenet batch --workers 3, 5 runs) =="
+# The same transcript fanned out over pre-forked worker processes: the
+# responses, printed in input order, must reproduce the committed bytes
+# exactly.  Five runs, because least-loaded dispatch sends each line to
+# whichever worker is free, so the line-to-worker assignment (and with
+# it each worker's cache history) changes from run to run.
+run=1
+while [ "$run" -le 5 ]; do
+  TENET_SERVE_CACHE_MB=64 dune exec -- tenet batch \
+      test/golden/serve_requests.jsonl --workers 3 \
+    | diff - test/golden/serve_responses.golden.jsonl \
+    || { echo "fleet golden mismatch (run $run of 5)"; exit 1; }
+  run=$((run + 1))
+done
 
 echo "== serve observability (live scrape, prometheus lint) =="
 # A live `tenet serve` session over the golden batch, with the access
