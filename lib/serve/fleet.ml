@@ -15,8 +15,8 @@
    inherits the warm in-memory cache for free.
 
    One pump drives the workers for both entry points.  A request line
-   goes to the least-loaded live worker, at most [pipeline_depth]
-   outstanding per worker, through a per-worker buffer drained by
+   goes to the least-loaded live worker, up to a per-worker window of
+   outstanding lines, through a per-worker buffer drained by
    nonblocking writes: a worker busy writing a long response never
    stalls the parent, which keeps reading it.  Each worker's
    outstanding lines queue in dispatch order, the order its sequential
@@ -26,12 +26,16 @@
      order.  A response depends only on its line, so the output is
      byte-identical to the single-process batch of the same lines (the
      golden transcript is diffed against a multi-worker run in CI).  No
-     admission control: batch is offline, nothing sheds.
+     admission control: batch is offline, nothing sheds.  No window
+     either: every line is dispatched at once, spread evenly over the
+     workers, so a worker never waits on the parent for its next line.
+     A worker that dies takes its whole share with it.
 
    - [session]: the serving loop.  Client lines pass the graduated
-     watermarks ({!Admission}) and queue in the parent; the small
-     per-worker window hides the socketpair round-trip but leaves the
-     backlog in that queue, where deadline-expired shedding sees it.
+     watermarks ({!Admission}) and queue in the parent; the window of
+     [pipeline_depth] lines per worker hides the socketpair round-trip
+     but leaves the backlog in that queue, where deadline-expired
+     shedding sees it.
      Responses are forwarded in completion order, like the in-process
      server.  [stats] is answered inline by the parent, so the fleet
      stays observable while every worker is busy.  The client fd is
@@ -55,16 +59,17 @@ module Parallel = Tenet_util.Parallel
 
 let c_worker_failures = Obs.counter "serve.worker_failures"
 
-(* Per-worker dispatch window: deep enough to hide the socketpair
-   round-trip behind compute, shallow enough that load stays visible in
-   the parent's queue for the admission watermarks. *)
+(* The session's per-worker dispatch window: deep enough to hide the
+   socketpair round-trip behind compute, shallow enough that load stays
+   visible in the parent's queue for the admission watermarks. *)
 let pipeline_depth = 4
 
 type worker = {
   w_pid : int;
   w_fd : Unix.file_descr; (* parent's end of the socketpair, nonblocking *)
-  w_wbuf : Buffer.t; (* dispatched request lines not yet fully written *)
-  mutable w_written : int; (* bytes of [w_wbuf] already written *)
+  w_wbuf : Buffer.t; (* request lines dispatched since [w_out] was taken *)
+  mutable w_out : string; (* request lines being written *)
+  mutable w_off : int; (* bytes of [w_out] already written *)
   w_rbuf : Buffer.t; (* partial response line *)
   w_outstanding : (int * string) Queue.t; (* (slot, line), dispatch order *)
   mutable w_alive : bool;
@@ -151,7 +156,8 @@ let create (cfg : Config.t) : t =
           w_pid = pid;
           w_fd = parent_fd;
           w_wbuf = Buffer.create 4096;
-          w_written = 0;
+          w_out = "";
+          w_off = 0;
           w_rbuf = Buffer.create 4096;
           w_outstanding = Queue.create ();
           w_alive = true;
@@ -196,18 +202,19 @@ let failure_line line msg =
 (* The one event loop behind [batch] and [session].  [next ()] yields
    the next [(slot, line)] to dispatch, or [None] when nothing waits;
    [respond slot response_line] delivers each line's one response.
-   With [client], the loop also reads that fd, only once [select]
-   reports it readable, and hands each complete line to the handler.
-   Returns once the client is at EOF (at once without one) and every
-   dispatched line has been answered. *)
-let pump (t : t) ?client ~next ~respond () : unit =
+   Each live worker holds at most [depth] outstanding lines.  With
+   [client], the loop also reads that fd, only once [select] reports it
+   readable, and hands each complete line to the handler.  Returns once
+   the client is at EOF (at once without one) and every dispatched line
+   has been answered. *)
+let pump (t : t) ~depth ?client ~next ~respond () : unit =
   let ws = t.f_workers in
   let chunk = Bytes.create 65536 in
   let least_loaded () =
     Array.fold_left
       (fun best w ->
         let load = Queue.length w.w_outstanding in
-        if (not w.w_alive) || load >= pipeline_depth then best
+        if (not w.w_alive) || load >= depth then best
         else
           match best with
           | Some b when Queue.length b.w_outstanding <= load -> best
@@ -230,19 +237,25 @@ let pump (t : t) ?client ~next ~respond () : unit =
                 respond slot (failure_line line "no fleet worker available"));
             dispatch ())
   in
-  (* Write errors are left to the read side: a worker whose socket
-     refuses writes has exited, and its end then reads as EOF. *)
+  let unwritten w =
+    w.w_off < String.length w.w_out || Buffer.length w.w_wbuf > 0
+  in
+  (* Once [w_out] is written, the lines dispatched meanwhile take its
+     place: every byte is copied and written once.  Write errors are
+     left to the read side: a worker whose socket refuses writes has
+     exited, and its end then reads as EOF. *)
   let write_worker w =
-    let len = Buffer.length w.w_wbuf - w.w_written in
-    if w.w_alive && len > 0 then
-      match
-        Unix.write_substring w.w_fd (Buffer.contents w.w_wbuf) w.w_written len
-      with
-      | k when k = len ->
-          Buffer.clear w.w_wbuf;
-          w.w_written <- 0
-      | k -> w.w_written <- w.w_written + k
-      | exception Unix.Unix_error _ -> ()
+    if w.w_off = String.length w.w_out then begin
+      w.w_out <- Buffer.contents w.w_wbuf;
+      w.w_off <- 0;
+      Buffer.clear w.w_wbuf
+    end;
+    match
+      Unix.write_substring w.w_fd w.w_out w.w_off
+        (String.length w.w_out - w.w_off)
+    with
+    | k -> w.w_off <- w.w_off + k
+    | exception Unix.Unix_error _ -> ()
   in
   let bury w =
     w.w_alive <- false;
@@ -254,7 +267,8 @@ let pump (t : t) ?client ~next ~respond () : unit =
       w.w_outstanding;
     Queue.clear w.w_outstanding;
     Buffer.clear w.w_wbuf;
-    w.w_written <- 0
+    w.w_out <- "";
+    w.w_off <- 0
   in
   let read_worker w =
     match Unix.read w.w_fd chunk 0 (Bytes.length chunk) with
@@ -299,7 +313,6 @@ let pump (t : t) ?client ~next ~respond () : unit =
   in
   let rec loop () =
     dispatch ();
-    Array.iter write_worker ws;
     let busy =
       List.filter
         (fun w -> not (Queue.is_empty w.w_outstanding))
@@ -312,20 +325,19 @@ let pump (t : t) ?client ~next ~respond () : unit =
       in
       let wrs =
         List.filter_map
-          (fun w ->
-            if w.w_written < Buffer.length w.w_wbuf then Some w.w_fd
-            else None)
+          (fun w -> if unwritten w then Some w.w_fd else None)
           busy
       in
-      let readable, _, _ = select_retry rds wrs in
+      let readable, writable, _ = select_retry rds wrs in
+      let worker_of fd =
+        List.find_opt (fun w -> w.w_alive && w.w_fd == fd) busy
+      in
+      List.iter (fun fd -> Option.iter write_worker (worker_of fd)) writable;
       List.iter
         (fun fd ->
           match !client with
           | Some (cfd, on_line) when fd == cfd -> read_client cfd on_line
-          | _ -> (
-              match List.find_opt (fun w -> w.w_alive && w.w_fd == fd) busy with
-              | Some w -> read_worker w
-              | None -> ()))
+          | _ -> Option.iter read_worker (worker_of fd))
         readable;
       loop ()
     end
@@ -336,13 +348,10 @@ let pump (t : t) ?client ~next ~respond () : unit =
 (* Batch: every line a slot, responses in slot order.                  *)
 (* ------------------------------------------------------------------ *)
 
-let batch_session (t : t) (ic : in_channel) (oc : out_channel) : unit =
-  let jobs =
-    Queue.of_seq
-      (Seq.zip (Seq.ints 0) (List.to_seq (Protocol.read_requests ic)))
-  in
+let batch_lines (t : t) (lines : string list) (oc : out_channel) : unit =
+  let jobs = Queue.of_seq (Seq.zip (Seq.ints 0) (List.to_seq lines)) in
   let responses = Array.make (Queue.length jobs) "" in
-  pump t
+  pump t ~depth:max_int (* see the header: no window *)
     ~next:(fun () -> Queue.take_opt jobs)
     ~respond:(fun slot line -> responses.(slot) <- line)
     ();
@@ -352,6 +361,8 @@ let batch_session (t : t) (ic : in_channel) (oc : out_channel) : unit =
       output_char oc '\n')
     responses;
   flush oc
+
+let batch_session t ic oc = batch_lines t (Protocol.read_requests ic) oc
 
 (* ------------------------------------------------------------------ *)
 (* Session: the serving loop.                                          *)
@@ -437,15 +448,20 @@ let session (t : t) (ic : in_channel) (oc : out_channel) : unit =
                 }
                 pending)
   in
-  pump t
+  pump t ~depth:pipeline_depth
     ~client:(Unix.descr_of_in_channel ic, on_line)
     ~next
     ~respond:(fun _ line -> respond_line line)
     ()
 
-let with_fleet run (cfg : Config.t) ic oc =
+let with_fleet (cfg : Config.t) run =
   let t = create cfg in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> run t ic oc)
+  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> run t)
 
-let serve = with_fleet session
-let batch = with_fleet batch_session
+let serve cfg ic oc = with_fleet cfg (fun t -> session t ic oc)
+
+(* The lines are read first: a batch with none forks no worker. *)
+let batch cfg ic oc =
+  match Protocol.read_requests ic with
+  | [] -> flush oc
+  | lines -> with_fleet cfg (fun t -> batch_lines t lines oc)

@@ -5,10 +5,11 @@
     sequential JSON-lines request loop; the parent is a single-threaded
     [select] pump, shared by {!session} and {!batch_session}, that
     dispatches each line to the least-loaded worker and collects the
-    responses.  Forking must precede any domain spawn — the OCaml 5
-    runtime cannot fork once other domains exist — so fleets are
-    created before the first parallel map; [create] fails with a clear
-    message otherwise.
+    responses.  A session keeps a small window of lines per worker; a
+    batch dispatches every line at once.  Forking must precede any
+    domain spawn — the OCaml 5 runtime cannot fork once other domains
+    exist — so fleets are created before the first parallel map;
+    [create] fails with a clear message otherwise.
 
     Every line gets exactly one response.  The outstanding lines of a
     worker that dies are answered with an [Internal] "fleet worker
@@ -47,7 +48,9 @@ val batch_session : t -> in_channel -> out_channel -> unit
 (** Run every request line (blank and ['#'] lines skipped) through the
     fleet and print the responses in input order: byte-identical to the
     single-process batch of the same lines, since each response depends
-    only on its line.  No admission control — batch is offline. *)
+    only on its line.  No admission control — batch is offline — and no
+    per-worker window: every line is dispatched at once, spread evenly
+    over the workers, so a worker that dies fails its whole share. *)
 
 val shutdown : t -> unit
 (** Close every worker's socketpair, wait for the workers to persist
@@ -57,4 +60,5 @@ val serve : Config.t -> in_channel -> out_channel -> unit
 (** [create] + one {!session} + [shutdown]. *)
 
 val batch : Config.t -> in_channel -> out_channel -> unit
-(** [create] + one {!batch_session} + [shutdown]. *)
+(** [create] + one {!batch_session} + [shutdown]; a batch with no
+    request lines forks no worker. *)

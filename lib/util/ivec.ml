@@ -1,4 +1,3 @@
-
 let dot a b =
   assert (Array.length a = Array.length b);
   let acc = ref 0 in

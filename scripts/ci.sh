@@ -51,9 +51,10 @@ done
 echo "== serve golden across the worker fleet (tenet batch --workers 3, 5 runs) =="
 # The same transcript fanned out over pre-forked worker processes: the
 # responses, printed in input order, must reproduce the committed bytes
-# exactly.  Five runs, because least-loaded dispatch sends each line to
-# whichever worker is free, so the line-to-worker assignment (and with
-# it each worker's cache history) changes from run to run.
+# exactly.  Five runs, like the --jobs 4 loop: the workers run side by
+# side and the front end collects their responses in a different
+# interleaving each run, so a fault that depends on it shows up only
+# in some of them.
 run=1
 while [ "$run" -le 5 ]; do
   TENET_SERVE_CACHE_MB=64 dune exec -- tenet batch \

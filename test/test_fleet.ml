@@ -224,6 +224,20 @@ let long_ids_run () =
   in_child ~limit:20. (fun () ->
       via_files (Fleet.serve cfg2) (unlines long_id_requests))
 
+(* A stream of such lines: a worker's write buffer must keep only the
+   bytes not yet written, or the stream's cost grows with the square of
+   its length. *)
+let long_stream_requests =
+  List.init 40 (fun i ->
+      analyze_line
+        ~id:(String.make 300_000 (Char.chr (Char.code 'a' + (i mod 26))))
+        [ 8; 8; 8 ])
+
+let long_stream_run entry =
+  let cfg2 = { Config.default with Config.workers = 2 } in
+  in_child ~limit:20. (fun () ->
+      via_files (entry cfg2) (unlines long_stream_requests))
+
 (* [Server.run] over 2 workers on a fresh socket, in a forked child. *)
 let start_server () =
   let path = Filename.temp_file "tenet-fleet" ".sock" in
@@ -322,9 +336,15 @@ let with_deaths ~workers ~idle ~stopped run =
       Fleet.shutdown t)
     (fun () -> run t)
 
+(* Two batches on one fleet: the first meets the deaths, the second
+   runs on whatever survives them. *)
 let batch_with_deaths ~workers ~idle ~stopped =
   with_deaths ~workers ~idle ~stopped (fun t ->
-      lines (via_files (Fleet.batch_session t) (unlines contract_requests)))
+      let run () =
+        lines (via_files (Fleet.batch_session t) (unlines contract_requests))
+      in
+      let first = run () in
+      (first, run ()))
 
 (* A session whose client, a writer child on a pipe, sends the first
    [head] lines at once and the rest [delay] seconds later. *)
@@ -360,11 +380,14 @@ type runs = {
   batch_out : string;
   serve_out : string;
   unterminated : string;
+  empty_batch : string * string array;
   long_ids : string option;
+  long_stream_batch : string option;
+  long_stream_serve : string option;
   late_reader : string list * bool * string list;
   after_hangup : string list;
-  batch_survivor : string list;
-  batch_all_dead : string list;
+  batch_survivor : string list * string list;
+  batch_all_dead : string list * string list;
   session_survivor : string list;
   session_all_dead : string list;
 }
@@ -383,8 +406,24 @@ let forked =
      let serve_out = via_files (Fleet.serve cfg2) serve_input in
      (* a last line without its newline is still a request *)
      let unterminated = via_files (Fleet.serve cfg2) (List.hd requests) in
+     (* a batch with no request line forks no worker, so none saves a
+        cache slice *)
+     let empty_batch =
+       let dir = temp_dir () in
+       let out =
+         via_files
+           (Fleet.batch { cfg3 with Config.cache_dir = Some dir })
+           "# no requests\n\n"
+       in
+       let files = Sys.readdir dir in
+       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) files;
+       Unix.rmdir dir;
+       (out, files)
+     in
      crash_safety_rounds ();
      let long_ids = long_ids_run () in
+     let long_stream_batch = long_stream_run Fleet.batch in
+     let long_stream_serve = long_stream_run Fleet.serve in
      let late_reader = late_reader_run () in
      let after_hangup = hangup_run () in
      (* one survivor beside an idle death and a stopped one *)
@@ -396,7 +435,7 @@ let forked =
          ~delay:0.
      in
      (* every worker dead; the session's last 4 lines arrive 0.6 s in,
-        after the last death *)
+        after the last death, and the second batch comes after it *)
      let batch_all_dead =
        batch_with_deaths ~workers:2 ~idle:[ 1 ] ~stopped:[ 0 ]
      in
@@ -408,7 +447,10 @@ let forked =
        batch_out;
        serve_out;
        unterminated;
+       empty_batch;
        long_ids;
+       long_stream_batch;
+       long_stream_serve;
        late_reader;
        after_hangup;
        batch_survivor;
@@ -451,6 +493,11 @@ let test_unterminated () =
     (unlines (one_shot [ List.hd requests ]))
     (Lazy.force forked).unterminated
 
+let test_empty_batch () =
+  let out, cache_files = (Lazy.force forked).empty_batch in
+  check_string "no output" "" out;
+  check_int "no worker saved a cache slice" 0 (Array.length cache_files)
+
 let test_long_ids () =
   let r = Lazy.force forked in
   match r.long_ids with
@@ -459,6 +506,20 @@ let test_long_ids () =
       check_bool "every long-id line answered like one-shot" true
         (List.sort compare (lines out)
         = List.sort compare (one_shot long_id_requests))
+
+let test_long_stream () =
+  let r = Lazy.force forked in
+  let baseline = one_shot long_stream_requests in
+  (match r.long_stream_batch with
+  | None -> Alcotest.fail "batch on 2 workers ran past 20 s on 40 long ids"
+  | Some out ->
+      check_bool "batch answers the long-id stream as one-shot" true
+        (lines out = baseline));
+  match r.long_stream_serve with
+  | None -> Alcotest.fail "serve on 2 workers ran past 20 s on 40 long ids"
+  | Some out ->
+      check_bool "serve answers the long-id stream as one-shot" true
+        (List.sort compare (lines out) = List.sort compare baseline)
 
 let test_late_reader () =
   let responses, up, next_client = (Lazy.force forked).late_reader in
@@ -508,7 +569,8 @@ let check_survivor ~what baseline ordered =
 (* Every worker dies: the lines dispatched before the last death fail
    mid-request, which in dispatch (input) order is a prefix; every
    later line, including the last [after] sent after the death, gets
-   "no fleet worker available". *)
+   "no fleet worker available".  A batch dispatches every line at
+   once, so its prefix may be all of them. *)
 let check_all_dead ~what ~after ordered =
   let n = List.length ordered in
   let rec prefix i = function
@@ -517,8 +579,7 @@ let check_all_dead ~what ~after ordered =
   in
   let k = prefix 0 ordered in
   check_bool (what ^ ": outstanding lines failed") true (k >= 1);
-  check_bool (what ^ ": later lines found no worker") true
-    (k <= n - max 1 after);
+  check_bool (what ^ ": later lines found no worker") true (k <= n - after);
   List.iteri
     (fun i r ->
       if i >= k then
@@ -528,12 +589,17 @@ let check_all_dead ~what ~after ordered =
 let test_batch_deaths () =
   let r = Lazy.force forked in
   let baseline = one_shot contract_requests in
-  let ordered = one_each ~what:"batch" r.batch_survivor in
-  check_bool "batch output in input order" true (ordered = r.batch_survivor);
+  let first, next = r.batch_survivor in
+  let ordered = one_each ~what:"batch" first in
+  check_bool "batch output in input order" true (ordered = first);
   check_survivor ~what:"batch" baseline ordered;
-  let ordered = one_each ~what:"batch, all dead" r.batch_all_dead in
-  check_bool "batch output in input order" true (ordered = r.batch_all_dead);
-  check_all_dead ~what:"batch, all dead" ~after:0 ordered
+  check_bool "the next batch runs on the survivor" true (next = baseline);
+  let first, next = r.batch_all_dead in
+  let ordered = one_each ~what:"batch, all dead" first in
+  check_bool "batch output in input order" true (ordered = first);
+  check_all_dead ~what:"batch, all dead" ~after:0 ordered;
+  check_bool "the next batch finds no worker" true
+    (next = List.mapi (fun i _ -> no_worker (contract_id i)) contract_requests)
 
 let test_session_deaths () =
   let r = Lazy.force forked in
@@ -552,7 +618,9 @@ let () =
           Alcotest.test_case "batch + session + crash safety" `Quick test_fleet;
           Alcotest.test_case "unterminated last line" `Quick
             test_unterminated;
+          Alcotest.test_case "empty batch" `Quick test_empty_batch;
           Alcotest.test_case "long ids through serve" `Quick test_long_ids;
+          Alcotest.test_case "stream of long ids" `Quick test_long_stream;
           Alcotest.test_case "socket client reading late" `Quick
             test_late_reader;
           Alcotest.test_case "socket client hanging up" `Quick test_hangup;
