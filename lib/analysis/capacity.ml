@@ -40,6 +40,9 @@ module D = Diagnostic
 
 let c_exact = Obs.counter "analysis.capacity_exact"
 let c_fallback = Obs.counter "analysis.capacity_fallback"
+let c_bounded = Obs.counter "analysis.feasible_bounded"
+let c_counted = Obs.counter "analysis.feasible_counted"
+let c_resisted = Obs.counter "analysis.feasible_resisted"
 
 (* Scratchpad capacity is declared in bytes; demand is counted in
    elements.  One element = one word of this many bytes. *)
@@ -302,33 +305,37 @@ let enumerate_peaks (spec : Arch.Spec.t) (op : Ir.Tensor_op.t)
 (* Symbolic per-stamp demand.                                          *)
 (* ------------------------------------------------------------------ *)
 
-let sum_opt (qs : Isl.Qpoly.t option list) : Isl.Qpoly.t option =
-  List.fold_left
-    (fun acc q ->
-      match (acc, q) with
-      | Some a, Some q -> Some (Isl.Qpoly.add a q)
-      | _ -> None)
-    (Some Isl.Qpoly.zero) qs
+(* Σ of the per-tensor counts, stopping at the first tensor whose count
+   resists: one [None] already makes the sum [None]. *)
+let sum_counts (count : string -> Isl.Qpoly.t option) (op : Ir.Tensor_op.t) :
+    Isl.Qpoly.t option =
+  let rec go acc = function
+    | [] -> Some acc
+    | tensor :: rest -> (
+        match count tensor with
+        | Some q -> go (Isl.Qpoly.add acc q) rest
+        | None -> None)
+  in
+  go Isl.Qpoly.zero (Ir.Tensor_op.tensors op)
 
 (* Σ over tensors of card { f | (p.., t..) -> f ∈ A_{D,F} }, as a
    quasi-polynomial in the r+m stamp coordinates: the number of distinct
-   elements one PE touches in one stamp.  [None] when any tensor's
-   relation resists the parametric planner. *)
+   elements one PE touches in one stamp.  [None] when a tensor's
+   relation resists the parametric planner; the later tensors are then
+   not counted. *)
 let pe_demand (op : Ir.Tensor_op.t) (df : Df.Dataflow.t) :
     (Isl.Qpoly.t * (int * int) array) option =
   let n_params = Df.Dataflow.n_space df + Df.Dataflow.n_time df in
   let assume =
     Array.of_list (Df.Dataflow.space_bounds op df @ Df.Dataflow.time_bounds op df)
   in
-  let counts =
-    List.map
-      (fun tensor ->
-        let a = Df.Dataflow.data_assignment op df tensor in
-        Isl.Count.count_union_param ~n_params ~assume
-          (Isl.Set.disjuncts (Isl.Map.wrap a)))
-      (Ir.Tensor_op.tensors op)
-  in
-  Option.map (fun q -> (q, assume)) (sum_opt counts)
+  sum_counts
+    (fun tensor ->
+      let a = Df.Dataflow.data_assignment op df tensor in
+      Isl.Count.count_union_param ~n_params ~assume
+        (Isl.Set.disjuncts (Isl.Map.wrap a)))
+    op
+  |> Option.map (fun q -> (q, assume))
 
 (* Σ over tensors of card { f | (t..) -> f }: the number of distinct
    elements live anywhere on the chip in one stamp, as a
@@ -346,19 +353,17 @@ let chip_demand (op : Ir.Tensor_op.t) (df : Df.Dataflow.t) :
       (Isl.Map.of_exprs (Ir.Tensor_op.space op) tspace df.Df.Dataflow.time)
       (Ir.Tensor_op.domain op)
   in
-  let counts =
-    List.map
-      (fun tensor ->
-        let a =
-          Isl.Map.apply_range
-            (Isl.Map.reverse theta_t)
-            (Ir.Tensor_op.access_map op tensor)
-        in
-        Isl.Count.count_union_param ~n_params:m ~assume
-          (Isl.Set.disjuncts (Isl.Map.wrap a)))
-      (Ir.Tensor_op.tensors op)
-  in
-  Option.map (fun q -> (q, assume)) (sum_opt counts)
+  sum_counts
+    (fun tensor ->
+      let a =
+        Isl.Map.apply_range
+          (Isl.Map.reverse theta_t)
+          (Ir.Tensor_op.access_map op tensor)
+      in
+      Isl.Count.count_union_param ~n_params:m ~assume
+        (Isl.Set.disjuncts (Isl.Map.wrap a)))
+    op
+  |> Option.map (fun q -> (q, assume))
 
 let env_of (bounds : (int * int) array) (i : int) = bounds.(i)
 
@@ -399,7 +404,7 @@ let sample_exceeds (total : Isl.Qpoly.t) ~(cap : int)
     (sample_points bounds)
 
 (* ------------------------------------------------------------------ *)
-(* Diagnostics.                                                        *)
+(* Count-free bounds.                                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* Each instance consumes one operand port per access (reads and writes
@@ -407,6 +412,27 @@ let sample_exceeds (total : Isl.Qpoly.t) ~(cap : int)
    verdict is exact for every size and every stamp. *)
 let port_demand (op : Ir.Tensor_op.t) : int =
   List.length op.Ir.Tensor_op.accesses
+
+(* Upper bounds on per-stamp demand that need no count per dataflow.
+   The elements of a tensor live in one stamp lie in its footprint, so
+   Σ footprints (counted once per op) bounds the chip's demand and one
+   PE's, for any Θ.  When Θ is injective a PE runs at most one instance
+   per stamp, and one instance touches at most [port_demand] distinct
+   elements.  A capacity whose bound fits is settled without counting
+   its demand. *)
+let footprint_total (op : Ir.Tensor_op.t) : int =
+  List.fold_left
+    (fun acc tensor -> acc + Ir.Tensor_op.footprint op tensor)
+    0 (Ir.Tensor_op.tensors op)
+
+let pe_bound_fits (op : Ir.Tensor_op.t) ~(footprints : int) ~(cap : int)
+    (df : Df.Dataflow.t) : bool =
+  footprints <= cap
+  || (port_demand op <= cap && Df.Dataflow.injective_by_construction op df)
+
+(* ------------------------------------------------------------------ *)
+(* Diagnostics.                                                        *)
+(* ------------------------------------------------------------------ *)
 
 let check (spec : Arch.Spec.t) (op : Ir.Tensor_op.t) (df : Df.Dataflow.t) :
     D.t list =
@@ -437,30 +463,38 @@ let check (spec : Arch.Spec.t) (op : Ir.Tensor_op.t) (df : Df.Dataflow.t) :
                   "%s: every instance performs %d tensor accesses in its \
                    cycle but the PE declares pe_ports = %d"
                   name demand ports)));
-    (* TN014 fast path: prove the capacity bound over the whole stamp
-       box symbolically; on success the verdict holds for all sizes. *)
+    (* TN014 fast path: a count-free bound that fits, else a proof of
+       the capacity bound over the whole stamp box; either way the
+       verdict holds for all sizes. *)
+    let chip_words =
+      Option.map (fun b -> b / word_bytes) spec.Arch.Spec.scratchpad_bytes
+    in
+    let footprints =
+      if spec.Arch.Spec.pe_regs = None && chip_words = None then 0
+      else footprint_total op
+    in
+    let settled ~bound_fits ~cap demand =
+      let fits =
+        bound_fits
+        ||
+        match demand op df with
+        | Some (total, bounds) -> proved_fits total ~cap bounds
+        | None -> false
+      in
+      if fits then Obs.incr c_exact;
+      fits
+    in
     let pe_settled =
       match spec.Arch.Spec.pe_regs with
       | None -> true
-      | Some cap -> (
-          match pe_demand op df with
-          | Some (total, bounds) when proved_fits total ~cap bounds ->
-              Obs.incr c_exact;
-              true
-          | _ -> false)
-    in
-    let chip_words =
-      Option.map (fun b -> b / word_bytes) spec.Arch.Spec.scratchpad_bytes
+      | Some cap ->
+          settled ~bound_fits:(pe_bound_fits op ~footprints ~cap df) ~cap
+            pe_demand
     in
     let chip_settled =
       match chip_words with
       | None -> true
-      | Some cap -> (
-          match chip_demand op df with
-          | Some (total, bounds) when proved_fits total ~cap bounds ->
-              Obs.incr c_exact;
-              true
-          | _ -> false)
+      | Some cap -> settled ~bound_fits:(footprints <= cap) ~cap chip_demand
     in
     let need_enum =
       (not pe_settled) || (not chip_settled)
@@ -574,7 +608,16 @@ let lint (spec : Arch.Spec.t) : D.t list =
    capacity-pruned search returns exactly what the unpruned oracle
    would on every feasible candidate.  Enumeration is deliberately not
    used here — the pruner must stay cheap relative to the evaluation it
-   avoids. *)
+   avoids — and a capacity whose count-free bound fits is not counted
+   at all: the count could not exceed the bound at any sample.
+
+   Each tested candidate bumps one of three counters: [bounded] (no
+   count ran, the port verdict included), [counted] (certified counts
+   decided) or [resisted] (a count resisted, so the candidate is
+   kept). *)
+
+type sampled = Fits | Exceeds | Resists
+
 let feasible (spec : Arch.Spec.t) (op : Ir.Tensor_op.t) :
     (Df.Dataflow.t -> bool) option =
   if not (Arch.Spec.has_capacities spec) then None
@@ -584,30 +627,50 @@ let feasible (spec : Arch.Spec.t) (op : Ir.Tensor_op.t) :
       | Some ports -> port_demand op > ports
       | None -> false
     in
+    (* an undeclared capacity never binds *)
+    let pe_cap = Option.value spec.Arch.Spec.pe_regs ~default:max_int in
+    let chip_cap =
+      match spec.Arch.Spec.scratchpad_bytes with
+      | Some bytes -> bytes / word_bytes
+      | None -> max_int
+    in
+    (* counted once per predicate, eagerly rather than as a [Lazy]:
+       serve [dse] requests build and run the predicate on pool
+       domains *)
+    let footprints =
+      if ports_bad || (pe_cap = max_int && chip_cap = max_int) then 0
+      else footprint_total op
+    in
+    let chip_fits = footprints <= chip_cap in
+    let sample demand ~cap =
+      match demand with
+      | Some (total, bounds) ->
+          if sample_exceeds total ~cap bounds then Exceeds else Fits
+      | None -> Resists
+    in
+    let verdict c ok =
+      Obs.incr c;
+      ok
+    in
     Some
       (fun df ->
-        if ports_bad then false
+        if ports_bad then verdict c_bounded false
         else
-          try
-            let pe_bad =
-              match spec.Arch.Spec.pe_regs with
-              | None -> false
-              | Some cap -> (
-                  match pe_demand op df with
-                  | Some (total, bounds) -> sample_exceeds total ~cap bounds
-                  | None -> false)
-            in
-            let chip_bad =
-              (not pe_bad)
-              &&
-              match spec.Arch.Spec.scratchpad_bytes with
-              | None -> false
-              | Some bytes -> (
-                  let cap = bytes / word_bytes in
-                  match chip_demand op df with
-                  | Some (total, bounds) -> sample_exceeds total ~cap bounds
-                  | None -> false)
-            in
-            not (pe_bad || chip_bad)
-          with _ -> true)
+          let pe_fits = pe_bound_fits op ~footprints ~cap:pe_cap df in
+          if pe_fits && chip_fits then verdict c_bounded true
+          else
+            match
+              let pe =
+                if pe_fits then Fits else sample (pe_demand op df) ~cap:pe_cap
+              in
+              let chip =
+                if chip_fits || pe = Exceeds then Fits
+                else sample (chip_demand op df) ~cap:chip_cap
+              in
+              (pe, chip)
+            with
+            | Exceeds, _ | _, Exceeds -> verdict c_counted false
+            | Resists, _ | _, Resists -> verdict c_resisted true
+            | Fits, Fits -> verdict c_counted true
+            | exception _ -> verdict c_resisted true)
   end

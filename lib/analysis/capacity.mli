@@ -2,10 +2,10 @@
     contention (TN015), PE ports (TN016), multicast fan-out (TN017),
     off-chip bandwidth (TN018), and the no-capacities lint (TN019).
 
-    Verdicts are computed symbolically where the parametric counting
-    engine certifies a bound for every stamp at once
-    ([analysis.capacity_exact]), and by a per-timestamp enumeration that
-    mirrors the simulator's machine state otherwise
+    Verdicts are computed symbolically where a count-free bound fits or
+    the parametric counting engine certifies a bound for every stamp at
+    once ([analysis.capacity_exact]), and by a per-timestamp enumeration
+    that mirrors the simulator's machine state otherwise
     ([analysis.capacity_fallback]). *)
 
 module Ir = Tenet_ir
@@ -39,7 +39,11 @@ val enumerate_peaks :
 val check : Arch.Spec.t -> Ir.Tensor_op.t -> Df.Dataflow.t -> Diagnostic.t list
 (** TN014-TN018 for every capacity the spec declares; [[]] when
     {!Arch.Spec.has_capacities} is false.  Assumes the dataflow already
-    passed the structural checks (rank, containment, injectivity). *)
+    passed the structural checks (rank, containment, injectivity).
+    TN014 tries the count-free bounds of {!feasible} before counting;
+    a capacity settled by either bumps [analysis.capacity_exact], and
+    the enumeration runs only when a capacity is left unsettled or a
+    link, fan-out or DRAM capacity is declared. *)
 
 val lint : Arch.Spec.t -> Diagnostic.t list
 (** TN019 (info) when the spec declares no capacities at all. *)
@@ -50,4 +54,18 @@ val feasible :
     on a proof of infeasibility (constant port demand, or a sampled
     stamp of a certified parametric count exceeding a capacity), so
     pruning never drops a feasible candidate.  [None] when the spec
-    declares no capacities. *)
+    declares no capacities.
+
+    A capacity is counted only when a count-free bound does not
+    already fit it.  Chip demand per stamp is at most Σ
+    [Tensor_op.footprint], computed once when the predicate is built
+    (eagerly: the predicate may be called from several domains).
+    Per-PE demand is at most the same sum and, when
+    {!Df.Dataflow.injective_by_construction} holds, at most the op's
+    access count.  Counting stops at the first tensor whose count
+    resists, which keeps the candidate.  The verdict is the same as
+    counting every tensor would give.  Each call bumps exactly one of
+    [analysis.feasible_bounded] (no count ran, the port verdict
+    included), [analysis.feasible_counted] (certified counts decided)
+    or [analysis.feasible_resisted] (a count resisted, so the
+    candidate is kept). *)

@@ -130,6 +130,52 @@ let conflict_counts (op : Ir.Tensor_op.t) (df : t) : (int * int) option =
   let stamps = Isl.Set.card (Isl.Map.range th) in
   if stamps <> pairs then Some (pairs, stamps) else None
 
+module String_set = Set.Make (String)
+
+(* Injectivity read off the stamp expressions, with no counting: Θ is
+   injective when every iterator is a function of the stamp.  Each
+   coordinate is an [Add]/[Sub]/[Neg] chain of terms; once every term
+   but one is a function of determined iterators, the value of that one
+   term is known, and an iterator is determined when
+   - a known term is the iterator itself, a plain coordinate included;
+   - both [x mod p] and [x fdiv p] are known terms for one [p]
+     (x = p * fl(x / p) + x mod p).
+   The rules repeat until nothing changes.  Sound, incomplete: a
+   [false] proves nothing. *)
+let injective_by_construction (op : Ir.Tensor_op.t) (df : t) : bool =
+  let rec terms e acc =
+    match e with
+    | Isl.Aff.Add (a, b) | Isl.Aff.Sub (a, b) -> terms a (terms b acc)
+    | Isl.Aff.Neg a -> terms a acc
+    | e -> e :: acc
+  in
+  let chains = List.map (fun e -> terms e []) (df.space @ df.time) in
+  let rec settle det =
+    let given t =
+      List.for_all (fun v -> String_set.mem v det) (Isl.Aff.free_vars t)
+    in
+    let open_in_chain ts =
+      match List.filter (fun t -> not (given t)) ts with
+      | [ t ] -> Some t
+      | _ -> None
+    in
+    let known = List.filter_map open_in_chain chains in
+    let det' =
+      List.fold_left
+        (fun d t ->
+          match t with
+          | Isl.Aff.Var x -> String_set.add x d
+          | Isl.Aff.Mod (Isl.Aff.Var x, p)
+            when List.mem (Isl.Aff.Fdiv (Isl.Aff.Var x, p)) known ->
+              String_set.add x d
+          | _ -> d)
+        det known
+    in
+    if String_set.equal det' det then det else settle det'
+  in
+  let det = settle String_set.empty in
+  List.for_all (fun x -> String_set.mem x det) (Ir.Tensor_op.iter_names op)
+
 (* Θ with a primed copy of the iteration space, for same-space relational
    checks (cf. the primed output tuples of Interconnect). *)
 let prime v = v ^ "'"

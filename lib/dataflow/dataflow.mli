@@ -59,6 +59,18 @@ val conflict_counts : Ir.Tensor_op.t -> t -> (int * int) option
 (** [(instances, stamps)] when Θ is not injective on its domain (two
     instances share a spacetime-stamp). *)
 
+val injective_by_construction : Ir.Tensor_op.t -> t -> bool
+(** A syntactic certificate that Θ is injective, with no counting.  It
+    holds when every iterator is recovered from the stamp by these
+    rules, repeated until nothing changes: an iterator is recovered
+    when it is a plain stamp coordinate, when both [x mod p] and
+    [x fdiv p] of one [p] are recovered terms, or when it is the only
+    term of a coordinate's [Add] chain that the recovered iterators do
+    not already give (a term so isolated is itself recovered).  Sound —
+    [true] implies {!conflict_counts} is [None] — but incomplete:
+    [false] proves nothing (the Eyeriss and MAERI stamps, which scale a
+    [mod] term, are injective but not certified). *)
+
 val theta_primed : Ir.Tensor_op.t -> t -> Isl.Map.t
 (** Θ over a primed copy of the iteration space ([S\[i',j',...\]]), for
     same-space relational checks. *)

@@ -322,18 +322,21 @@ let search ?(adjacency = `Inner_step) ?(mode = Pruned) ?budget ?(seed = 0)
      candidate.  No-op when the spec declares no capacities. *)
   let n_capacity = ref 0 in
   let live =
-    match (mode, Tenet_analysis.Capacity.feasible spec op) with
-    | Exhaustive, _ | _, None -> live
-    | (Pruned | Heuristic), Some feasible ->
-        List.filter
-          (fun (_, df) ->
-            let ok = feasible df in
-            if not ok then begin
-              incr n_capacity;
-              Obs.incr c_pruned_capacity
-            end;
-            ok)
-          live
+    if mode = Exhaustive || not (Arch.Spec.has_capacities spec) then live
+    else
+      Obs.with_span "analysis.capacity_tier" @@ fun () ->
+      match Tenet_analysis.Capacity.feasible spec op with
+      | None -> live
+      | Some feasible ->
+          List.filter
+            (fun (_, df) ->
+              let ok = feasible df in
+              if not ok then begin
+                incr n_capacity;
+                Obs.incr c_pruned_capacity
+              end;
+              ok)
+            live
   in
   (* Tier 2: symmetry classes.  The metric-equality arguments behind
      [sym_key] hold under [`Inner_step] adjacency only, so grouping is

@@ -115,19 +115,27 @@ let session (cfg : Config.t) (ic : in_channel) (oc : out_channel) : unit =
   enter ();
   Parallel.set_queue_limit cfg.Config.queue_limit;
   let write_mutex = Mutex.create () in
+  (* Set once the client has gone (a failed read or write): every
+     response still due is dropped from then on. *)
+  let gone = Atomic.make false in
   let respond resp =
-    (* [Fun.protect]: a failed write (disconnected client) must release
-       the mutex, or every other in-flight responder would deadlock. *)
+    (* [Fun.protect]: the mutex is released whatever the write does, or
+       every other in-flight responder would deadlock. *)
     Mutex.lock write_mutex;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock write_mutex)
       (fun () ->
-        output_string oc (Protocol.response_line resp);
-        output_char oc '\n';
-        flush oc)
+        if not (Atomic.get gone) then
+          try
+            output_string oc (Protocol.response_line resp);
+            output_char oc '\n';
+            flush oc
+          with Sys_error _ -> Atomic.set gone true)
   in
-  (* Inflight accounting: EOF drains before returning so a piped client
-     always sees every response. *)
+  (* Inflight accounting: every exit from the read loop drains before
+     returning, so a piped client sees every response, and no task
+     outlives the session to write into a socket fd that the next
+     accepted client may reuse. *)
   let inflight = ref 0 in
   let inflight_mutex = Mutex.create () in
   let inflight_cv = Condition.create () in
@@ -158,7 +166,9 @@ let session (cfg : Config.t) (ic : in_channel) (oc : out_channel) : unit =
   in
   let rec loop () =
     match input_line ic with
-    | exception End_of_file -> drain ()
+    | exception End_of_file -> ()
+    | exception Sys_error _ -> Atomic.set gone true
+    | _ when Atomic.get gone -> ()
     | line when Protocol.is_comment line -> loop ()
     | line ->
         (match Protocol.parse_request line with
@@ -209,7 +219,7 @@ let session (cfg : Config.t) (ic : in_channel) (oc : out_channel) : unit =
                 end));
         loop ()
   in
-  loop ()
+  Fun.protect ~finally:drain loop
 
 let run (cfg : Config.t) : unit =
   Config.validate cfg;

@@ -39,5 +39,8 @@ val session : Config.t -> in_channel -> out_channel -> unit
     has been answered; {!run} runs one per connection.  Like every
     runner it ignores SIGPIPE, so a client disconnecting mid-response
     surfaces as a catchable I/O error rather than terminating the
-    process, and turns telemetry on.  The persistent tier is not
-    touched. *)
+    process, and turns telemetry on.  Once a read or a write on the
+    client fails, the session stops reading, drops every response still
+    due and returns only after its in-flight requests have finished, so
+    none of them writes to the next connection.  The persistent tier
+    is not touched. *)

@@ -356,7 +356,10 @@ awk '
 echo "== dse mapper pruning (deterministic, from summary extras) =="
 # The pruned search's work accounting is deterministic: candidate
 # generation is fixed, so the evaluated/generated ratio and the tier
-# partition must hold exactly on any machine.
+# partition must hold exactly on any machine.  On both capacity reruns
+# the capacity tier settles each candidate that passed the precheck
+# exactly once (bounded, counted or resisted), and on the generous one
+# its count-free bounds settle every candidate.
 awk '
   /"section": *"dse"/ { in_dse = 1 }
   in_dse && /"dse_generated"/   { gen  = $2 + 0 }
@@ -368,7 +371,33 @@ awk '
   in_dse && /"dse_cap_generated"/        { cgen  = $2 + 0 }
   in_dse && /"dse_cap_pruned_capacity"/  { ccap  = $2 + 0 }
   in_dse && /"dse_cap_evaluated"/        { ceval = $2 + 0 }
+  in_dse && /"dse_(cap|gen)_(generated|pruned_precheck|feasible_[a-z]*)"/ {
+    key = $1; gsub(/[":]/, "", key); v[key] = $2 + 0; seen[key] = 1
+  }
   END {
+    n_keys = 0
+    for (k in seen) n_keys++
+    if (n_keys != 10) {
+      printf "dse capacity-run verdict extras missing (%d of 10)\n", n_keys
+      exit 1
+    }
+    split("cap gen", runs, " ")
+    for (i = 1; i <= 2; i++) {
+      r = "dse_" runs[i] "_"
+      tested = v[r "generated"] - v[r "pruned_precheck"]
+      settled = v[r "feasible_bounded"] + v[r "feasible_counted"] \
+        + v[r "feasible_resisted"]
+      if (settled != tested) {
+        printf "%s: capacity tier settled %d of %d candidates\n", \
+          runs[i], settled, tested
+        exit 1
+      }
+    }
+    if (v["dse_gen_feasible_counted"] + v["dse_gen_feasible_resisted"] != 0) {
+      printf "generous run counted %d and resisted %d (want 0 and 0)\n", \
+        v["dse_gen_feasible_counted"], v["dse_gen_feasible_resisted"]
+      exit 1
+    }
     if (gen == 0) { print "dse summary extras missing"; exit 1 }
     if (pc + sym + cap + dom + eval != gen) {
       printf "dse prune partition broken: %d+%d+%d+%d+%d != %d\n", \
@@ -389,8 +418,12 @@ awk '
       exit 1
     }
     printf "dse mapper: %d/%d evaluated (precheck %d, symmetry %d, \
-capacity %d, dominated %d); capacity run: %d/%d pruned\n", \
-      eval, gen, pc, sym, cap, dom, ccap, cgen
+capacity %d, dominated %d); capacity run: %d/%d pruned; tier verdicts \
+(bounded/counted/resisted) %d/%d/%d tight, %d/%d/%d generous\n", \
+      eval, gen, pc, sym, cap, dom, ccap, cgen, \
+      v["dse_cap_feasible_bounded"], v["dse_cap_feasible_counted"], \
+      v["dse_cap_feasible_resisted"], v["dse_gen_feasible_bounded"], \
+      v["dse_gen_feasible_counted"], v["dse_gen_feasible_resisted"]
   }' "$bench_dir/summary.json"
 
 echo "== serve cache speedup (warm vs cold batch) =="

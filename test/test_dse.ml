@@ -418,6 +418,241 @@ let test_capacity_prune_fires () =
   (* exhaustive mode never applies the tier *)
   check_int "oracle untouched" 0 oracle.Dse.stats.Dse.pruned_capacity
 
+(* --- count-free bounds of the capacity tier ------------------------ *)
+
+module Isl = Tenet.Isl
+module An = Tenet.Analysis
+module Obs = Tenet.Obs
+
+(* The dse_mapper benchmark's shapes with the candidate lists it
+   searches: 2D on the 8x8 arrays, 1D on the 64-PE one. *)
+let mapper_shapes () =
+  let shapes =
+    [
+      ("conv", [ 4; 2; 4; 4; 3; 3 ]);
+      ("conv", [ 8; 4; 4; 4; 1; 1 ]);
+      ("gemm", [ 8; 8; 4 ]);
+      ("gemm", [ 8; 12; 8 ]);
+      ("gemm", [ 12; 16; 8 ]);
+      ("gemm", [ 16; 16; 12 ]);
+      ("gemm", [ 8; 16; 12 ]);
+      ("mttkrp", [ 6; 6; 2; 2 ]);
+      ("mttkrp", [ 6; 8; 4; 2 ]);
+      ("mttkrp", [ 8; 8; 4; 4 ]);
+      ("mmc", [ 6; 6; 2; 2 ]);
+      ("mmc", [ 6; 8; 2; 4 ]);
+      ("mmc", [ 8; 8; 4; 4 ]);
+    ]
+  in
+  List.map
+    (fun (kernel, sizes) ->
+      let module Api = Tenet.Serve.Api in
+      let op =
+        Api.op_of
+          { (Api.Request.default Api.Request.Analyze) with kernel; sizes }
+      in
+      (op, Dse.candidates_2d op ~p:8 @ Dse.candidates_1d op ~p:64))
+    shapes
+
+(* Each zoo dataflow with its last time coordinate dropped: stamps then
+   collide, so Θ is not injective. *)
+let drop_last_time (df : Df.Dataflow.t) : Df.Dataflow.t =
+  let time =
+    List.filteri
+      (fun i _ -> i < Df.Dataflow.n_time df - 1)
+      df.Df.Dataflow.time
+  in
+  Df.Dataflow.make
+    ~name:(df.Df.Dataflow.name ^ " -t")
+    ~space:df.Df.Dataflow.space ~time
+
+let zoo_pairs () =
+  List.map
+    (fun (s : An.Checker.subject) -> (s.An.Checker.s_op, s.An.Checker.s_df))
+    (An.Checker.zoo_subjects ())
+
+let test_injective_certificate_sound () =
+  let certified pairs =
+    List.length
+      (List.filter
+         (fun (op, df) ->
+           let c = Df.Dataflow.injective_by_construction op df in
+           if c then
+             check_bool
+               (df.Df.Dataflow.name ^ ": certified injective, so no conflict")
+               true
+               (Df.Dataflow.conflict_counts op df = None);
+           c)
+         pairs)
+  in
+  let zoo = zoo_pairs () in
+  check_int "zoo subjects" 75 (List.length zoo);
+  (* only the Eyeriss and MAERI stamps, which scale a [mod] term, are
+     injective but not certified *)
+  check_int "zoo certified" 71 (certified zoo);
+  let dropped = List.map (fun (op, df) -> (op, drop_last_time df)) zoo in
+  check_int "dropped-coordinate variants certified" 0 (certified dropped);
+  List.iter
+    (fun (op, df) ->
+      check_bool (df.Df.Dataflow.name ^ " conflicts") true
+        (Df.Dataflow.conflict_counts op df <> None))
+    dropped;
+  (* the mapper's generator places every iterator, so the per-PE bound
+     applies to every candidate it makes *)
+  List.iter
+    (fun (op, cands) ->
+      let n = List.length cands in
+      check_int (op.Ir.Tensor_op.name ^ " candidates certified") n
+        (certified (List.map (fun df -> (op, df)) cands)))
+    (mapper_shapes ())
+
+(* The capacity tier as it stood before its count-free bounds: every
+   tensor counted, summed, and sampled at the stamp box's corners and
+   midpoint; a resisting count or an exception keeps the candidate. *)
+let reference_feasible (spec : Arch.Spec.t) (op : Ir.Tensor_op.t)
+    (df : Df.Dataflow.t) : bool =
+  let sample_points (bounds : (int * int) array) =
+    let n = Array.length bounds in
+    let mid = Array.map (fun (lo, hi) -> lo + ((hi - lo) / 2)) bounds in
+    if n = 0 then [ mid ]
+    else if n > 8 then [ mid; Array.map fst bounds; Array.map snd bounds ]
+    else
+      mid
+      :: List.init (1 lsl n) (fun mask ->
+             Array.init n (fun i ->
+                 let lo, hi = bounds.(i) in
+                 if mask land (1 lsl i) <> 0 then hi else lo))
+  in
+  let exceeds ~n_params ~assume ~cap relation =
+    let counts =
+      List.map
+        (fun t ->
+          Isl.Count.count_union_param ~n_params ~assume
+            (Isl.Set.disjuncts (Isl.Map.wrap (relation t))))
+        (Ir.Tensor_op.tensors op)
+    in
+    match
+      List.fold_left
+        (fun acc q ->
+          match (acc, q) with
+          | Some a, Some q -> Some (Isl.Qpoly.add a q)
+          | _ -> None)
+        (Some Isl.Qpoly.zero) counts
+    with
+    | None -> false
+    | Some total ->
+        List.exists
+          (fun pt -> Isl.Qpoly.eval (fun i -> pt.(i)) total > cap)
+          (sample_points assume)
+  in
+  let ports_bad =
+    match spec.Arch.Spec.pe_ports with
+    | Some ports -> List.length op.Ir.Tensor_op.accesses > ports
+    | None -> false
+  in
+  if ports_bad then false
+  else
+    try
+      let time_bounds = Df.Dataflow.time_bounds op df in
+      let pe_bad =
+        match spec.Arch.Spec.pe_regs with
+        | None -> false
+        | Some cap ->
+            exceeds
+              ~n_params:(Df.Dataflow.n_space df + Df.Dataflow.n_time df)
+              ~assume:
+                (Array.of_list (Df.Dataflow.space_bounds op df @ time_bounds))
+              ~cap
+              (Df.Dataflow.data_assignment op df)
+      in
+      let chip_bad =
+        (not pe_bad)
+        &&
+        match spec.Arch.Spec.scratchpad_bytes with
+        | None -> false
+        | Some bytes ->
+            let tspace =
+              Isl.Space.make "T"
+                (List.mapi
+                   (fun i _ -> Printf.sprintf "t%d" i)
+                   df.Df.Dataflow.time)
+            in
+            let theta_t =
+              Isl.Map.intersect_domain
+                (Isl.Map.of_exprs (Ir.Tensor_op.space op) tspace
+                   df.Df.Dataflow.time)
+                (Ir.Tensor_op.domain op)
+            in
+            exceeds ~n_params:(Df.Dataflow.n_time df)
+              ~assume:(Array.of_list time_bounds)
+              ~cap:(bytes / An.Capacity.word_bytes)
+              (fun t ->
+                Isl.Map.apply_range (Isl.Map.reverse theta_t)
+                  (Ir.Tensor_op.access_map op t))
+      in
+      not (pe_bad || chip_bad)
+    with _ -> true
+
+let test_feasible_matches_reference () =
+  let base = Arch.Repository.tpu_like ~bandwidth:8 () in
+  let specs =
+    [
+      ("roomy", generous base);
+      ("snug", Arch.Spec.with_capacities ~scratchpad_bytes:256 base);
+      ("tight", Arch.Spec.with_capacities ~scratchpad_bytes:64 base);
+      ( "regs",
+        Arch.Spec.with_capacities ~pe_regs:3 ~scratchpad_bytes:1024 base );
+      ("ports", Arch.Spec.with_capacities ~pe_ports:3 base);
+    ]
+  in
+  let zoo = zoo_pairs () in
+  let groups =
+    List.map (fun (op, df) -> (op, [ df; drop_last_time df ])) zoo
+    @ mapper_shapes ()
+  in
+  let counters =
+    List.map Obs.counter
+      [
+        "analysis.feasible_bounded";
+        "analysis.feasible_counted";
+        "analysis.feasible_resisted";
+      ]
+  in
+  let before = List.map Obs.value counters in
+  let pruned = ref 0 in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable (fun () ->
+      List.iter
+        (fun (name, spec) ->
+          List.iter
+            (fun (op, dfs) ->
+              let feasible = Option.get (An.Capacity.feasible spec op) in
+              List.iter
+                (fun df ->
+                  let want = reference_feasible spec op df in
+                  if not want then incr pruned;
+                  check_bool
+                    (Printf.sprintf "%s: %s %s" name op.Ir.Tensor_op.name
+                       df.Df.Dataflow.name)
+                    want (feasible df))
+                dfs)
+            groups)
+        specs);
+  let tested =
+    List.length specs
+    * List.fold_left (fun a (_, dfs) -> a + List.length dfs) 0 groups
+  in
+  let deltas = List.map2 (fun c b -> Obs.value c - b) counters before in
+  check_int "every test bumps one verdict counter" tested
+    (List.fold_left ( + ) 0 deltas);
+  (* every path is exercised: bounds, certified counts, resisted counts,
+     and proofs of infeasibility *)
+  List.iter2
+    (fun c d ->
+      check_bool (c.Obs.c_name ^ " > 0") true (d > 0))
+    counters deltas;
+  check_bool "some candidates proven infeasible" true (!pruned > 0)
+
 let () =
   Alcotest.run "dse"
     [
@@ -452,5 +687,9 @@ let () =
             test_capacity_prune_oracle;
           Alcotest.test_case "capacity prune fires" `Quick
             test_capacity_prune_fires;
+          Alcotest.test_case "injectivity certificate sound" `Quick
+            test_injective_certificate_sound;
+          Alcotest.test_case "capacity tier = counting reference" `Quick
+            test_feasible_matches_reference;
         ] );
     ]

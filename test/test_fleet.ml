@@ -238,14 +238,14 @@ let long_stream_run entry =
   in_child ~limit:20. (fun () ->
       via_files (entry cfg2) (unlines long_stream_requests))
 
-(* [Server.run] over 2 workers on a fresh socket, in a forked child. *)
-let start_server () =
+(* [Server.run] over [workers] (default 2) on a fresh socket, in a
+   forked child. *)
+let start_server ?(workers = 2) () =
   let path = Filename.temp_file "tenet-fleet" ".sock" in
   Sys.remove path;
   let pid =
     fork_child (fun () ->
-        Server.run
-          { Config.default with Config.workers = 2; socket = Some path })
+        Server.run { Config.default with Config.workers; socket = Some path })
   in
   (pid, path)
 
@@ -284,14 +284,20 @@ let late_reader_run () =
   (responses, up, next_client)
 
 (* A client that hangs up with requests in flight: the responses still
-   due to it must not reach the next client. *)
-let hangup_run () =
-  let ((_, path) as server) = start_server () in
+   due to it must not reach the next client.  With [stats] first and a
+   pause before the hang-up, the client closes with the inline stats
+   response unread, so the server's next read of it fails (ECONNRESET)
+   instead of seeing EOF. *)
+let hangup_run ?workers ?(stats = false) () =
+  let ((_, path) as server) = start_server ?workers () in
   let fd = connect_retry path in
   write_all fd
     (unlines
-       (List.init 40 (fun i ->
-            analyze_line ~id:(Printf.sprintf "gone%d" i) [ 24 + i; 24; 24 ])));
+       ((if stats then [ {|{"cmd":"stats","id":"s!"}|} ] else [])
+       @ List.init 40 (fun i ->
+             analyze_line ~id:(Printf.sprintf "gone%d" i) [ 24 + i; 24; 24 ])
+       ));
+  if stats then Unix.sleepf 0.3;
   Unix.close fd;
   let fd = connect_retry path in
   write_all fd (unlines [ List.hd requests ]);
@@ -386,6 +392,7 @@ type runs = {
   long_stream_serve : string option;
   late_reader : string list * bool * string list;
   after_hangup : string list;
+  after_hangup_in_process : string list;
   batch_survivor : string list * string list;
   batch_all_dead : string list * string list;
   session_survivor : string list;
@@ -426,6 +433,7 @@ let forked =
      let long_stream_serve = long_stream_run Fleet.serve in
      let late_reader = late_reader_run () in
      let after_hangup = hangup_run () in
+     let after_hangup_in_process = hangup_run ~workers:1 ~stats:true () in
      (* one survivor beside an idle death and a stopped one *)
      let batch_survivor =
        batch_with_deaths ~workers:3 ~idle:[ 2 ] ~stopped:[ 0 ]
@@ -453,6 +461,7 @@ let forked =
        long_stream_serve;
        late_reader;
        after_hangup;
+       after_hangup_in_process;
        batch_survivor;
        batch_all_dead;
        session_survivor;
@@ -537,6 +546,11 @@ let test_late_reader () =
 let test_hangup () =
   check_bool "the next client gets only its own response" true
     ((Lazy.force forked).after_hangup = one_shot [ List.hd requests ])
+
+let test_hangup_in_process () =
+  check_bool "the next client gets only its own response" true
+    ((Lazy.force forked).after_hangup_in_process
+    = one_shot [ List.hd requests ])
 
 (* The responses in request order, checking each request got exactly
    one. *)
@@ -624,6 +638,8 @@ let () =
           Alcotest.test_case "socket client reading late" `Quick
             test_late_reader;
           Alcotest.test_case "socket client hanging up" `Quick test_hangup;
+          Alcotest.test_case "socket client hanging up, in-process" `Quick
+            test_hangup_in_process;
           Alcotest.test_case "worker death in batch" `Quick test_batch_deaths;
           Alcotest.test_case "worker death in session" `Quick
             test_session_deaths;
