@@ -225,6 +225,246 @@ let test_zoo_engines_agree () =
       end)
     (C.zoo_subjects ())
 
+(* ------------------------------------------------------------------ *)
+(* The concrete engine pinned over the zoo.                            *)
+(* ------------------------------------------------------------------ *)
+
+(* test/golden/concrete_zoo.txt was recorded from the concrete engine
+   before its flat-array rewrite.  Each Checker.zoo_subjects pair runs at
+   a small and a mid size, as given and with its last time coordinate
+   dropped (the " -t" variant, which puts two instances on one stamp), at
+   both adjacencies and with validation on and off; one line holds the
+   subject's time profile and the MD5 of its six (window 1-3, default or
+   1-word bandwidth) outcomes.  An outcome is the Metrics.to_json bytes of
+   the one-shot [analyze] or its Invalid_dataflow text; [analyze_in] on a
+   fresh context must give the same.  The tail pins one context scoring
+   every dataflow of a kernel twice, Fig 11's two shapes, a GEMM whose
+   element spaces force the hashed tables, and an empty iteration range.
+   On a mismatch the recomputed lines are written to
+   concrete_zoo.actual.txt in the test's working directory. *)
+
+let outcome f =
+  match f () with
+  | m -> Tenet.Obs.Json.to_string (M.Metrics.to_json m)
+  | exception M.Concrete.Invalid_dataflow msg -> "invalid dataflow: " ^ msg
+
+let profile_text (p : M.Concrete.profile) =
+  Printf.sprintf "ts=%d conflict=%b" p.M.Concrete.p_timestamps
+    p.M.Concrete.p_conflict
+
+let adjacency_text = function `Inner_step -> "inner" | `Lex_step -> "lex"
+
+let zoo_op size kernel =
+  match (size, kernel) with
+  | `Small, "gemm" -> Ir.Kernels.gemm ~ni:6 ~nj:7 ~nk:8
+  | `Small, "conv" -> Ir.Kernels.conv2d ~nk:3 ~nc:2 ~nox:4 ~noy:4 ~nrx:3 ~nry:3
+  | `Small, "mttkrp" -> Ir.Kernels.mttkrp ~ni:6 ~nj:7 ~nk:3 ~nl:4
+  | `Small, "mmc" -> Ir.Kernels.mmc ~ni:6 ~nj:7 ~nk:3 ~nl:4
+  | `Small, "jacobi2d" -> Ir.Kernels.jacobi2d ~n:14
+  | `Mid, "gemm" -> Ir.Kernels.gemm ~ni:12 ~nj:10 ~nk:9
+  | `Mid, "conv" -> Ir.Kernels.conv2d ~nk:4 ~nc:3 ~nox:5 ~noy:5 ~nrx:3 ~nry:3
+  | `Mid, "mttkrp" -> Ir.Kernels.mttkrp ~ni:9 ~nj:8 ~nk:4 ~nl:3
+  | `Mid, "mmc" -> Ir.Kernels.mmc ~ni:9 ~nj:8 ~nk:4 ~nl:3
+  | `Mid, "jacobi2d" -> Ir.Kernels.jacobi2d ~n:26
+  | _, k -> invalid_arg ("zoo_op: " ^ k)
+
+let drop_last_time (df : Df.Dataflow.t) =
+  let n = List.length df.Df.Dataflow.time in
+  Df.Dataflow.make ~name:(df.Df.Dataflow.name ^ " -t")
+    ~space:df.Df.Dataflow.space
+    ~time:(List.filteri (fun i _ -> i < n - 1) df.Df.Dataflow.time)
+
+(* One run: the one-shot outcome, checked against a fresh context, and
+   the context's time profile. *)
+let pinned_run ~label ~adjacency ~validate ~window spec op df =
+  let one_shot =
+    outcome (fun () -> M.Concrete.analyze ~adjacency ~validate ~window spec op df)
+  in
+  let ctx = M.Concrete.context ~adjacency ~validate ~window spec op in
+  Alcotest.(check string)
+    (label ^ ": analyze_in = analyze")
+    one_shot
+    (outcome (fun () -> M.Concrete.analyze_in ctx df));
+  (one_shot, profile_text (M.Concrete.time_profile ctx df))
+
+let md5 parts = Digest.to_hex (Digest.string (String.concat "\n" parts))
+
+let with_bw bw spec =
+  match bw with None -> spec | Some b -> Arch.Spec.with_bandwidth b spec
+
+let concrete_zoo_lines () : string list =
+  let grid ~label ~adjacencies spec op df =
+    List.concat_map
+      (fun adjacency ->
+        List.map
+          (fun validate ->
+            let label =
+              Printf.sprintf "%s %s v=%b" label (adjacency_text adjacency)
+                validate
+            in
+            let runs =
+              List.concat_map
+                (fun window ->
+                  List.map
+                    (fun bw ->
+                      pinned_run ~label ~adjacency ~validate ~window
+                        (with_bw bw spec) op df)
+                    [ None; Some 1 ])
+                [ 1; 2; 3 ]
+            in
+            Printf.sprintf "%s | %s | %s" label
+              (snd (List.hd runs))
+              (md5 (List.concat_map (fun (o, p) -> [ o; p ]) runs)))
+          [ true; false ])
+      adjacencies
+  in
+  let zoo =
+    List.concat_map
+      (fun (s : Tenet.Analysis.Checker.subject) ->
+        let module C = Tenet.Analysis.Checker in
+        List.concat_map
+          (fun (size, size_text) ->
+            let op = zoo_op size s.C.s_kernel in
+            List.concat_map
+              (fun df ->
+                grid
+                  ~label:
+                    (Printf.sprintf "%s %s %s %s" s.C.s_arch s.C.s_kernel
+                       df.Df.Dataflow.name size_text)
+                  ~adjacencies:[ `Inner_step; `Lex_step ]
+                  s.C.s_spec op df)
+              [ s.C.s_df; drop_last_time s.C.s_df ])
+          [ (`Small, "small"); (`Mid, "mid") ])
+      (Tenet.Analysis.Checker.zoo_subjects ())
+  in
+  (* one context per validation mode scoring every 2D GEMM dataflow and
+     its -t variant, twice over: the context's scratch must not carry
+     anything from one call (or one failed call) to the next *)
+  let sequence =
+    let spec = Arch.Repository.find "tpu-8x8-systolic" in
+    let op = zoo_op `Mid "gemm" in
+    let dfs =
+      List.concat_map (fun df -> [ df; drop_last_time df ]) (Df.Zoo.gemm_2d ())
+    in
+    List.concat_map
+      (fun validate ->
+        let ctx = M.Concrete.context ~validate ~window:2 spec op in
+        List.concat_map
+          (fun pass ->
+            List.map
+              (fun df ->
+                let label =
+                  Printf.sprintf "sequence v=%b pass=%d %s" validate pass
+                    df.Df.Dataflow.name
+                in
+                let got = outcome (fun () -> M.Concrete.analyze_in ctx df) in
+                Alcotest.(check string)
+                  (label ^ ": = analyze")
+                  (outcome (fun () ->
+                       M.Concrete.analyze ~validate ~window:2 spec op df))
+                  got;
+                Printf.sprintf "%s | %s | %s" label
+                  (profile_text (M.Concrete.time_profile ctx df))
+                  (md5 [ got ]))
+              dfs)
+          [ 1; 2 ])
+      [ true; false ]
+  in
+  (* Fig 11's two shapes, reduced as in test_sim: Eyeriss row stationary
+     on a row/column broadcast (interval 0) at window = ox, MAERI's
+     reduction tree at window 1 *)
+  let fig11 =
+    let eyeriss =
+      Arch.Spec.make ~pe:(Arch.Pe_array.d2 12 14)
+        ~topology:Arch.Interconnect.Row_col_broadcast ~bandwidth:64 ()
+    in
+    let maeri = Arch.Repository.maeri_like ~n:63 ~bandwidth:64 () in
+    let conv k c o r =
+      Ir.Kernels.conv2d ~nk:k ~nc:c ~nox:o ~noy:o ~nrx:r ~nry:r
+    in
+    let run label spec op window df =
+      List.map
+        (fun bw ->
+          let label =
+            Printf.sprintf "%s w=%d bw=%s" label window
+              (match bw with None -> "default" | Some b -> string_of_int b)
+          in
+          let o, p =
+            pinned_run ~label ~adjacency:`Lex_step ~validate:true ~window
+              (with_bw bw spec) op df
+          in
+          Printf.sprintf "%s | %s | %s" label p (md5 [ o ]))
+        [ None; Some 1 ]
+    in
+    List.concat_map
+      (fun (k, c, o, r) ->
+        let cpack = max 1 (min (12 / r) (min 4 c)) in
+        run
+          (Printf.sprintf "fig11 eyeriss %d,%d,%d,%d" k c o r)
+          eyeriss (conv k c o r) o
+          (Df.Zoo.conv_eyeriss_rs ~kt:k ~ct:c ~cpack ~r ()))
+      [ (4, 3, 5, 3); (3, 2, 6, 5) ]
+    @ List.concat_map
+        (fun (k, c, o, r) ->
+          run
+            (Printf.sprintf "fig11 maeri %d,%d,%d,%d" k c o r)
+            maeri (conv k c o r) 1
+            (Df.Zoo.conv_maeri ~cslices:(min 7 c) ()))
+        [ (3, 3, 6, 3); (4, 2, 5, 3) ]
+  in
+  (* test_sim's GEMM whose Y and A subscripts stride by 300,000: its
+     (PE, tensor, element) key space is past the direct tables' cap *)
+  let strided =
+    let module A = Tenet.Isl.Aff in
+    let strided x y = A.Add (A.Mul (A.Int 300_000, A.var x), A.var y) in
+    let acc tensor subscripts direction =
+      { Ir.Tensor_op.tensor; subscripts; direction }
+    in
+    let op =
+      Ir.Tensor_op.make
+        ~iters:[ ("i", 0, 5); ("j", 0, 6); ("k", 0, 7) ]
+        ~accesses:
+          [
+            acc "Y" [ strided "i" "j" ] Ir.Tensor_op.Write;
+            acc "A" [ strided "i" "k" ] Ir.Tensor_op.Read;
+            acc "B" [ A.var "k"; A.var "j" ] Ir.Tensor_op.Read;
+          ]
+        ()
+    in
+    List.concat_map
+      (fun (arch, df) ->
+        grid
+          ~label:(Printf.sprintf "%s gemm-strided %s" arch df.Df.Dataflow.name)
+          ~adjacencies:[ `Inner_step; `Lex_step ]
+          (Arch.Repository.find arch) op df)
+      [
+        ("tpu-8x8-systolic", Df.Zoo.gemm_ij_p_ijk_t ());
+        ("systolic-64x1", Df.Zoo.gemm_k_p_ij_t ~p:4 ());
+      ]
+  in
+  let empty =
+    grid ~label:"tpu-8x8-systolic gemm-empty"
+      ~adjacencies:[ `Inner_step ]
+      (Arch.Repository.find "tpu-8x8-systolic")
+      (Ir.Kernels.gemm ~ni:0 ~nj:7 ~nk:8)
+      (Df.Zoo.gemm_ij_p_ijk_t ())
+  in
+  zoo @ sequence @ fig11 @ strided @ empty
+
+let test_concrete_zoo_golden () =
+  let expected =
+    In_channel.with_open_text "golden/concrete_zoo.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let got = concrete_zoo_lines () in
+  if got <> expected then
+    Out_channel.with_open_text "concrete_zoo.actual.txt" (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) got);
+  check_int "golden lines" (List.length expected) (List.length got);
+  List.iter2 (fun want l -> Alcotest.(check string) "pinned line" want l)
+    expected got
+
 let prop_total_eq_instances_times_accesses =
   QCheck.Test.make ~name:"total(F) = instances for single-access tensors"
     ~count:20
@@ -275,4 +515,6 @@ let () =
               test_zoo_engines_agree;
           ]
       );
+      ( "golden",
+        [ Alcotest.test_case "zoo pin" `Quick test_concrete_zoo_golden ] );
     ]
