@@ -462,16 +462,16 @@ let search ?(adjacency = `Inner_step) ?(mode = Pruned) ?budget ?(seed = 0)
             mode <> Exhaustive && objective = Latency
             && frozen_best < infinity
           then begin
-            let p = M.Concrete.time_profile ctx df in
-            if p.M.Concrete.p_conflict then begin
-              Obs.incr c_invalid;
-              `Invalid
-            end
-            else if dominated ~expr p.M.Concrete.p_timestamps then `Dominated
-            else
-              match eval_candidate ctx df with
-              | Some o -> `Outcome o
-              | None -> `Invalid
+            match M.Concrete.time_profile ctx df with
+            | exception M.Concrete.Invalid_dataflow _ | { p_conflict = true; _ }
+              ->
+                Obs.incr c_invalid;
+                `Invalid
+            | p when dominated ~expr p.M.Concrete.p_timestamps -> `Dominated
+            | _ -> (
+                match eval_candidate ctx df with
+                | Some o -> `Outcome o
+                | None -> `Invalid)
           end
           else
             match eval_candidate ctx df with

@@ -91,31 +91,6 @@ let mark_get m k =
 let mark_set m k v =
   match m with Flat a -> a.(k) <- v | Sparse h -> Hashtbl.replace h k v
 
-(* Sort [a.(off) .. a.(off + len - 1)] ascending and drop duplicates in
-   place; returns the distinct count.  A span is one instance's accesses
-   to one tensor: a handful of codes. *)
-let sort_uniq_span (a : int array) off len =
-  for i = off + 1 to off + len - 1 do
-    let x = a.(i) in
-    let j = ref (i - 1) in
-    while !j >= off && a.(!j) > x do
-      a.(!j + 1) <- a.(!j);
-      decr j
-    done;
-    a.(!j + 1) <- x
-  done;
-  if len = 0 then 0
-  else begin
-    let w = ref (off + 1) in
-    for i = off + 1 to off + len - 1 do
-      if a.(i) <> a.(!w - 1) then begin
-        a.(!w) <- a.(i);
-        incr w
-      end
-    done;
-    !w - off
-  end
-
 (* Index of [f] in the sorted span [a.(off) .. a.(off + len - 1)], or -1. *)
 let span_find (a : int array) off len f =
   let i = ref off and stop = off + len in
@@ -184,12 +159,11 @@ let run ?(window = 1) ?trace (spec : Arch.Spec.t) (op : Ir.Tensor_op.t)
   let preds = C.pred_pe_keys spec in
   let tensors = Array.of_list (Ir.Tensor_op.tensors op) in
   let n_tensors = Array.length tensors in
-  let bases, encs = C.element_encoders op in
+  let bases, spaces, encs = C.element_encoders op in
   let outputs = Ir.Tensor_op.outputs op in
   let is_output = Array.map (fun t -> List.mem t outputs) tensors in
   (* an instance touches at most [caps.(ti)] distinct elements of ti *)
   let caps = Array.map Array.length encs in
-  let spaces = Array.map (Array.fold_left (fun a (_, e) -> a * e) 1) bases in
   (* Register rings.  Slot k of (p, ti) holds ring_len.(ti).(p * slots + k)
      codes from ring.(ti).((p * slots + k) * caps.(ti)); the filled slots
      are 0 .. count - 1 with the newest at head.  A PE fills at most one
@@ -331,7 +305,7 @@ let run ?(window = 1) ?trace (spec : Arch.Spec.t) (op : Ir.Tensor_op.t)
           for a = 0 to cap - 1 do
             buf.(off + a) <- fs.(a) c.C.vals
           done;
-          let len = sort_uniq_span buf off cap in
+          let len = C.sort_uniq_span buf off cap in
           need_len.(ti).(j) <- len;
           let u = used.(ti) in
           for e = off to off + len - 1 do

@@ -356,6 +356,37 @@ let test_search_stats_add_up () =
     (st.Dse.pruned_precheck + st.Dse.pruned_symmetry + st.Dse.pruned_capacity
    + st.Dse.pruned_dominated + st.Dse.evaluated)
 
+(* A candidate whose time codes would wrap past the int range is refused
+   by the time profile (tier 3b), which runs outside the full
+   evaluation's handler: it must count as invalid, not abort the search.
+   Forty one-stamp-per-k classes fill the first slice and set an
+   incumbent of 8 stamps; the strided candidate has the same latency
+   bound, so it is profiled in the second slice. *)
+let test_wide_time_candidate_invalid () =
+  let module A = Tenet.Isl.Aff in
+  let op = Ir.Kernels.gemm ~ni:8 ~nj:8 ~nk:8 in
+  let spec = Arch.Repository.tpu_like ~n:8 () in
+  let space = [ A.Mod (A.var "i", 8); A.Mod (A.var "j", 8) ] in
+  let shifted =
+    List.init 40 (fun c ->
+        Df.Dataflow.make ~name:(Printf.sprintf "k+%d" c) ~space
+          ~time:[ A.Add (A.var "k", A.Int c) ])
+  in
+  let wide =
+    Df.Dataflow.make ~name:"wide" ~space
+      ~time:
+        (List.map
+           (fun v -> A.Mul (A.Int 2147483648, A.var v))
+           [ "k"; "i"; "j" ])
+  in
+  let r = Dse.search ~mode:Dse.Pruned spec op (shifted @ [ wide ]) in
+  check_int "every shifted class scored" 40 (List.length r.Dse.outcomes);
+  check_int "the strided candidate evaluated" 41 r.Dse.stats.Dse.evaluated;
+  check_bool "and dropped" false
+    (List.exists
+       (fun (o : Dse.outcome) -> o.Dse.dataflow.Df.Dataflow.name = "wide")
+       r.Dse.outcomes)
+
 (* --- the capacity prune tier (TN014-TN018 as a mapper filter) ------- *)
 
 let generous spec =
@@ -683,6 +714,8 @@ let () =
           Alcotest.test_case "prechecker = precheck" `Quick
             test_prechecker_matches_precheck;
           Alcotest.test_case "stats partition" `Quick test_search_stats_add_up;
+          Alcotest.test_case "wide-time candidate invalid" `Quick
+            test_wide_time_candidate_invalid;
           Alcotest.test_case "capacity prune = oracle" `Quick
             test_capacity_prune_oracle;
           Alcotest.test_case "capacity prune fires" `Quick

@@ -130,6 +130,66 @@ let test_huge_op_guarded () =
     | exception M.Concrete.Invalid_dataflow msg ->
         String.length msg > 0)
 
+(* Code spaces past the int range are refused, not wrapped.  Striding
+   every time coordinate by 2^31 makes the time-code space 3 x 2^31 + 1
+   codes per dim; the same mapping unstrided has 64 stamps.  Striding
+   both subscripts of Y does the same to its element space. *)
+let wide_time_df =
+  Df.Dataflow.make ~name:"wide"
+    ~space:Isl.Aff.[ Var "i"; Var "j" ]
+    ~time:
+      Isl.Aff.
+        [
+          Mul (Int 2147483648, Var "k");
+          Mul (Int 2147483648, Var "i");
+          Mul (Int 2147483648, Var "j");
+        ]
+
+let wide_element_op () =
+  let module A = Isl.Aff in
+  let wide x y = A.Add (A.Mul (A.Int 2147483648, A.var x), A.var y) in
+  let acc tensor subscripts direction =
+    { Ir.Tensor_op.tensor; subscripts; direction }
+  in
+  Ir.Tensor_op.make
+    ~iters:[ ("i", 0, 3); ("j", 0, 3); ("k", 0, 3) ]
+    ~accesses:
+      [
+        acc "Y" [ wide "i" "j"; wide "j" "i" ] Ir.Tensor_op.Write;
+        acc "A" [ A.var "i"; A.var "k" ] Ir.Tensor_op.Read;
+        acc "B" [ A.var "k"; A.var "j" ] Ir.Tensor_op.Read;
+      ]
+    ()
+
+let refused what want f =
+  match f () with
+  | _ -> Alcotest.failf "%s: not refused" what
+  | exception M.Concrete.Invalid_dataflow msg ->
+      Alcotest.(check string) what want msg
+
+let test_wide_codes_refused () =
+  let spec = Arch.Repository.find "tpu-8x8-systolic" in
+  let op = Ir.Kernels.gemm ~ni:4 ~nj:4 ~nk:4 in
+  let time_msg =
+    "wide: time-stamp space of 6442450945 x 6442450945 x 6442450945 codes \
+     is past the int range"
+  in
+  refused "analyze, wide time" time_msg (fun () ->
+      M.Concrete.analyze spec op wide_time_df);
+  refused "time_profile, wide time" time_msg (fun () ->
+      M.Concrete.time_profile (M.Concrete.context spec op) wide_time_df);
+  let plain =
+    Df.Dataflow.make ~name:"plain"
+      ~space:Isl.Aff.[ Var "i"; Var "j" ]
+      ~time:Isl.Aff.[ Var "k"; Var "i"; Var "j" ]
+  in
+  check_int "unstrided stamps" 64
+    (M.Concrete.analyze spec op plain).M.Metrics.n_timestamps;
+  refused "analyze, wide element"
+    "tensor Y: element space of 6442450948 x 6442450948 codes is past the \
+     int range"
+    (fun () -> M.Concrete.analyze spec (wide_element_op ()) plain)
+
 (* ------------------------------------------------------------------ *)
 (* Engine equivalence: relational vs concrete on random dataflows.     *)
 (* ------------------------------------------------------------------ *)
@@ -502,6 +562,8 @@ let () =
             test_invalid_dataflow_raises;
           Alcotest.test_case "oversized domain guarded" `Quick
             test_huge_op_guarded;
+          Alcotest.test_case "wide code spaces refused" `Quick
+            test_wide_codes_refused;
         ] );
       ( "engine equivalence",
         List.map QCheck_alcotest.to_alcotest

@@ -133,6 +133,62 @@ let test_dse_deterministic () =
   if seq <> par then Alcotest.fail "DSE outcomes differ between jobs=1 and jobs=4";
   Alcotest.(check bool) "nonempty" true (seq <> [])
 
+(* One Concrete.context scored from four domains at once: each walking
+   domain takes its own scratch record off the context's free list, and
+   every walk advances its record's epoch, so a result never depends on
+   which record served it or on what that record walked before -- a
+   conflicting (-t, last time coordinate dropped) dataflow included,
+   with validation on (it raises mid-call) and off (hashed tables). *)
+let test_shared_context_concurrent () =
+  let module Df = Tenet_dataflow.Dataflow in
+  let op = Ir.Kernels.conv2d ~nk:3 ~nc:2 ~nox:4 ~noy:4 ~nrx:3 ~nry:3 in
+  let spec = Arch.Repository.find "tpu-8x8-systolic" in
+  let drop_last (df : Df.t) =
+    let n = List.length df.Df.time in
+    Df.make ~name:(df.Df.name ^ " -t") ~space:df.Df.space
+      ~time:(List.filteri (fun i _ -> i < n - 1) df.Df.time)
+  in
+  let zoo =
+    List.filter_map
+      (fun (s : Tenet_analysis.Checker.subject) ->
+        if s.s_arch = "tpu-8x8-systolic" && s.s_kernel = "conv" then
+          Some s.s_df
+        else None)
+      (Tenet_analysis.Checker.zoo_subjects ())
+  in
+  let dfs =
+    Array.of_list
+      (List.concat
+         (List.init 3 (fun _ ->
+              List.concat_map (fun df -> [ df; drop_last df ]) zoo)))
+  in
+  let score ctx df =
+    let metrics =
+      match M.Concrete.analyze_in ctx df with
+      | m -> Tenet_obs.Json.to_string (M.Metrics.to_json m)
+      | exception M.Concrete.Invalid_dataflow msg -> msg
+    in
+    let p = M.Concrete.time_profile ctx df in
+    Printf.sprintf "%s | %d %b" metrics p.M.Concrete.p_timestamps
+      p.M.Concrete.p_conflict
+  in
+  Alcotest.(check int) "conv zoo dataflows" 5 (List.length zoo);
+  List.iter
+    (fun validate ->
+      let seq =
+        let ctx = M.Concrete.context ~validate spec op in
+        Array.map (score ctx) dfs
+      in
+      let ctx = M.Concrete.context ~validate spec op in
+      let par = with_jobs 4 (fun () -> Parallel.map_array ~chunk:1 (score ctx) dfs) in
+      Array.iteri
+        (fun i want ->
+          Alcotest.(check string)
+            (Printf.sprintf "validate=%b #%d %s" validate i dfs.(i).Df.name)
+            want par.(i))
+        seq)
+    [ true; false ]
+
 let test_count_union_parallel_matches () =
   (* the per-disjunct union counting path must not depend on jobs *)
   let mk lo hi =
@@ -179,5 +235,7 @@ let () =
             test_dse_deterministic;
           Alcotest.test_case "count_union jobs=4 == jobs=1" `Quick
             test_count_union_parallel_matches;
+          Alcotest.test_case "shared concrete context, jobs=4" `Quick
+            test_shared_context_concurrent;
         ] );
     ]

@@ -725,6 +725,56 @@ let test_error_classification () =
       check_bool "names the dim" true (contains msg "zz")
   | _ -> Alcotest.fail "expected an error response"
 
+(* Code spaces past the int range are the client's mistake too.  Before
+   they were refused, the strided time answered ok with 18 stamps (the
+   caches then kept it) and the strided C subscripts answered internal. *)
+let test_wide_codes_bad_request () =
+  let expect what (r : Api.Request.t) want =
+    match Api.run r with
+    | {
+        Api.Response.body = { Api.Response.error = Some (kind, msg); _ };
+        _;
+      } ->
+        check_string (what ^ ": kind") "bad_request"
+          (Api.Response.error_kind_to_string kind);
+        check_string (what ^ ": message") want msg
+    | _ -> Alcotest.failf "%s: expected an error response" what
+  in
+  expect "wide time"
+    {
+      (small_analyze ~id:"wt" ~sizes:[ 4; 4; 4 ] ()) with
+      Api.Request.space = "i,j";
+      time = "2147483648*k,2147483648*i,2147483648*j";
+    }
+    "invalid dataflow: (request): time-stamp space of 6442450945 x \
+     6442450945 x 6442450945 codes is past the int range";
+  let wide_c =
+    "for (i = 0; i < 4; i++)\n\
+     for (j = 0; j < 4; j++)\n\
+     for (k = 0; k < 4; k++)\n\
+     Y[2147483648*i + j][2147483648*j + i] += A[i][k] * B[k][j];"
+  in
+  let elt_msg =
+    "invalid dataflow: tensor Y: element space of 6442450948 x 6442450948 \
+     codes is past the int range"
+  in
+  expect "wide element"
+    {
+      (Api.Request.default Api.Request.Analyze) with
+      Api.Request.id = "we";
+      c_source = Some wide_c;
+      space = "i,j";
+      time = "k";
+    }
+    elt_msg;
+  expect "wide element dse"
+    {
+      (Api.Request.default Api.Request.Dse) with
+      Api.Request.id = "wd";
+      c_source = Some wide_c;
+    }
+    elt_msg
+
 (* --- the pool: a raising task must not kill its worker --- *)
 
 let test_worker_survives_raising_task () =
@@ -1179,6 +1229,8 @@ let () =
         [
           Alcotest.test_case "client vs internal classification" `Quick
             test_error_classification;
+          Alcotest.test_case "wide code spaces are bad requests" `Quick
+            test_wide_codes_bad_request;
         ] );
       ( "pool",
         [

@@ -192,6 +192,51 @@ let test_rejects_invalid () =
   rejects "non-injective" "tpu-8x8-systolic" (gemm 8 8 8) "i%8,j%8" "j"
     "t: two instances share a spacetime-stamp"
 
+(* Time and element codes past the int range are refused with the
+   concrete engine's texts: before, the strided time wrapped into 18
+   stamps (cycles=19 against the unstrided mapping's 65) and the strided
+   Y subscripts made an element table of negative size. *)
+let test_rejects_wide_codes () =
+  let module A = Tenet.Isl.Aff in
+  let spec = Arch.Repository.find "tpu-8x8-systolic" in
+  let gemm = Ir.Kernels.gemm ~ni:4 ~nj:4 ~nk:4 in
+  let df name time =
+    Df.Dataflow.make ~name ~space:[ A.var "i"; A.var "j" ] ~time
+  in
+  let stride e = A.Mul (A.Int 2147483648, e) in
+  let rejects what op df want =
+    match Sim.Simulator.run spec op df with
+    | _ -> Alcotest.failf "%s: simulated" what
+    | exception M.Concrete.Invalid_dataflow msg ->
+        Alcotest.(check string) what want msg
+  in
+  rejects "wide time" gemm
+    (df "wide" (List.map stride [ A.var "k"; A.var "i"; A.var "j" ]))
+    "wide: time-stamp space of 6442450945 x 6442450945 x 6442450945 codes \
+     is past the int range";
+  check_int "unstrided cycles" 65
+    (Sim.Simulator.run spec gemm (df "plain" [ A.var "k"; A.var "i"; A.var "j" ]))
+      .Sim.Simulator.cycles;
+  let wide x y = A.Add (stride (A.var x), A.var y) in
+  let acc tensor subscripts direction =
+    { Ir.Tensor_op.tensor; subscripts; direction }
+  in
+  let wide_y =
+    Ir.Tensor_op.make
+      ~iters:[ ("i", 0, 3); ("j", 0, 3); ("k", 0, 3) ]
+      ~accesses:
+        [
+          acc "Y" [ wide "i" "j"; wide "j" "i" ] Ir.Tensor_op.Write;
+          acc "A" [ A.var "i"; A.var "k" ] Ir.Tensor_op.Read;
+          acc "B" [ A.var "k"; A.var "j" ] Ir.Tensor_op.Read;
+        ]
+      ()
+  in
+  rejects "wide element" wide_y
+    (df "plain" [ A.var "k" ])
+    "tensor Y: element space of 6442450948 x 6442450948 codes is past the \
+     int range"
+
 (* The simulator pinned over the zoo.  test/golden/sim_zoo.txt holds one
    line per run, recorded from the simulator before its int-code rewrite:
    every Checker.zoo_subjects (arch, dataflow) pair at small sizes, at
@@ -369,6 +414,8 @@ let () =
             test_mesh_vs_systolic_traffic;
           Alcotest.test_case "rejects invalid dataflows" `Quick
             test_rejects_invalid;
+          Alcotest.test_case "rejects wide codes" `Quick
+            test_rejects_wide_codes;
         ] );
       ("golden", [ Alcotest.test_case "zoo pin" `Quick test_zoo_golden ]);
     ]
