@@ -258,29 +258,45 @@ echo "== capacity sanitizer shard (TENET_CHECK_VERIFY=1) =="
 # implement the same attribution from independent code paths.
 TENET_CHECK_VERIFY=1 dune exec test/test_check_verify.exe >/dev/null
 
-echo "== simulator CLI contract (tenet simulate on invalid dataflows) =="
+echo "== engine CLI contract (tenet analyze/simulate on invalid dataflows) =="
 # A dataflow whose space stamp has the wrong rank for the PE array, that
 # leaves the array, or that puts two instances on one PE in one stamp
 # must fail up front with the analyze path's "invalid dataflow:" text:
-# never an index error, and never a result from aliased PEs.
-sim_rejects() {
-  if dune exec -- tenet simulate "$@" \
-      >"$tmp_root/simulate.out" 2>"$tmp_root/simulate.err"; then
-    echo "tenet simulate $* accepted an invalid dataflow"
+# never an index error, and never a result from aliased PEs.  So must a
+# time-stamp or tensor-element code space past the int range, in both
+# engines: such codes used to wrap into a wrong answer or a crash.
+engine_rejects() {
+  cmd=$1
+  shift
+  if dune exec -- tenet "$cmd" "$@" \
+      >"$tmp_root/engine.out" 2>"$tmp_root/engine.err"; then
+    echo "tenet $cmd $* accepted an invalid dataflow"
     exit 1
   fi
-  if grep -q 'index out of bounds' "$tmp_root/simulate.err" \
-      || ! grep -q 'invalid dataflow:' "$tmp_root/simulate.err"; then
-    cat "$tmp_root/simulate.err"
-    echo "tenet simulate $*: expected an invalid dataflow error"
+  if grep -q -e 'index out of bounds' -e 'Array.make' "$tmp_root/engine.err" \
+      || ! grep -q 'invalid dataflow:' "$tmp_root/engine.err"; then
+    cat "$tmp_root/engine.err"
+    echo "tenet $cmd $*: expected an invalid dataflow error"
     exit 1
   fi
-  echo "rejected: $(cat "$tmp_root/simulate.err")"
+  echo "rejected: $(cat "$tmp_root/engine.err")"
 }
-sim_rejects --space 'i%8' --time 'i/8,j,k'
-sim_rejects --sizes 16,8,8 --space 'i%16,j%8' --time 'i/16,j/8,k'
-sim_rejects --arch systolic-64x1 --space 'i%8,j%8' --time 'i/8,j/8,k'
-sim_rejects --sizes 8,8,8 --space 'i%8,j%8' --time 'j'
+engine_rejects simulate --space 'i%8' --time 'i/8,j,k'
+engine_rejects simulate --sizes 16,8,8 --space 'i%16,j%8' --time 'i/16,j/8,k'
+engine_rejects simulate --arch systolic-64x1 --space 'i%8,j%8' --time 'i/8,j/8,k'
+engine_rejects simulate --sizes 8,8,8 --space 'i%8,j%8' --time 'j'
+wide_time="2147483648*k,2147483648*i,2147483648*j"
+cat >"$tmp_root/wide_element.c" <<'EOF_C'
+for (i = 0; i < 4; i++)
+  for (j = 0; j < 4; j++)
+    for (k = 0; k < 4; k++)
+      Y[2147483648*i + j][2147483648*j + i] += A[i][k] * B[k][j];
+EOF_C
+for cmd in analyze simulate; do
+  engine_rejects "$cmd" --sizes 4,4,4 --space 'i,j' --time "$wide_time"
+  engine_rejects "$cmd" --c-file "$tmp_root/wide_element.c" --space 'i,j' \
+    --time 'k'
+done
 
 echo "== benchmark digests (perfbench/run.py, seed 1) =="
 # The committed seed-1 digests pin the output bytes of every benchmark
