@@ -458,13 +458,15 @@ let search ?(adjacency = `Inner_step) ?(mode = Pruned) ?budget ?(seed = 0)
           else if
             (* Tier 3b: the same bound with the exact timestamp count
                from a cheap time-only pass; only once an incumbent
-               exists, otherwise the profile cannot prune anything. *)
+               exists, otherwise the profile cannot prune anything.  A
+               conflict, or a profile refusing the dataflow (its time
+               codes would pass the int range), makes it invalid. *)
             mode <> Exhaustive && objective = Latency
             && frozen_best < infinity
           then begin
             match M.Concrete.time_profile ctx df with
-            | exception M.Concrete.Invalid_dataflow _ | { p_conflict = true; _ }
-              ->
+            | exception M.Concrete.Invalid_dataflow _
+            | { M.Concrete.p_conflict = true; _ } ->
                 Obs.incr c_invalid;
                 `Invalid
             | p when dominated ~expr p.M.Concrete.p_timestamps -> `Dominated

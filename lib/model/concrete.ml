@@ -121,8 +121,8 @@ let encode (base : (int * int) array) (tup : int array) : int =
   if !ok then !acc else -1
 
 (* [encode] of the tuple the staged evaluators [evals] give on [vals]. *)
-let encode_staged (base : (int * int) array) (evals : (int array -> int) array)
-    (vals : int array) : int =
+let encode_staged (base : (int * int) array)
+    (evals : (int array -> int) array) (vals : int array) : int =
   let acc = ref 0 in
   let ok = ref true in
   for i = 0 to Array.length base - 1 do
@@ -459,7 +459,9 @@ let pred_csr (preds : int list array) : int array * int array =
   let off = Array.make (Array.length preds + 1) 0 in
   Array.iteri (fun p l -> off.(p + 1) <- off.(p) + List.length l) preds;
   let pes = Array.make off.(Array.length preds) 0 in
-  Array.iteri (fun p l -> List.iteri (fun k q -> pes.(off.(p) + k) <- q) l) preds;
+  Array.iteri
+    (fun p l -> List.iteri (fun k q -> pes.(off.(p) + k) <- q) l)
+    preds;
   (off, pes)
 
 let context ?(adjacency : Df.Spacetime.adjacency = `Inner_step)
@@ -772,7 +774,7 @@ let analyze_in (ctx : ctx) (df : Df.Dataflow.t) : Metrics.t =
         if dt_spatial = 0 then
           for j = first to stop - 1 do
             let p = pkey.(order.(j)) in
-            let i = if shared then order.(j) else j - first in
+          let i = if shared then order.(j) else j - first in
             for ti = 0 to n_tensors - 1 do
               let o = need_offs.(ti) and a = need_codes.(ti) in
               let row = ((p * n_tensors) + ti) * fspace in
@@ -785,7 +787,7 @@ let analyze_in (ctx : ctx) (df : Df.Dataflow.t) : Metrics.t =
         let stamp_unique = ref 0 in
         for j = first to stop - 1 do
           let p = pkey.(order.(j)) in
-            let i = if shared then order.(j) else j - first in
+          let i = if shared then order.(j) else j - first in
           let has_preds = p >= 0 && p < n_pred_rows in
           for ti = 0 to n_tensors - 1 do
             let o = need_offs.(ti) and a = need_codes.(ti) in
@@ -807,7 +809,9 @@ let analyze_in (ctx : ctx) (df : Df.Dataflow.t) : Metrics.t =
               let temporal =
                 m > 0
                 &&
-                let l = if direct then last.(row + f) else hget last_h (row + f) in
+                let l =
+                  if direct then last.(row + f) else hget last_h (row + f)
+                in
                 l >= epoch
                 &&
                 let t = codes.(l - epoch) in
@@ -820,7 +824,9 @@ let analyze_in (ctx : ctx) (df : Df.Dataflow.t) : Metrics.t =
                 if has_preds then begin
                   let q = ref pred_off.(p) and q_stop = pred_off.(p + 1) in
                   while (not !spatial) && !q < q_stop do
-                    let k = (((pred_pes.(!q) * n_tensors) + ti) * fspace) + f in
+                    let k =
+                      (((pred_pes.(!q) * n_tensors) + ti) * fspace) + f
+                    in
                     (if dt_spatial = 0 then
                        spatial :=
                          (if direct then same.(k) else hget same_h k) = mark
@@ -847,7 +853,7 @@ let analyze_in (ctx : ctx) (df : Df.Dataflow.t) : Metrics.t =
         (* commit this stamp's touches *)
         for j = first to stop - 1 do
           let p = pkey.(order.(j)) in
-            let i = if shared then order.(j) else j - first in
+          let i = if shared then order.(j) else j - first in
           for ti = 0 to n_tensors - 1 do
             let o = need_offs.(ti) and a = need_codes.(ti) in
             let row = ((p * n_tensors) + ti) * fspace in

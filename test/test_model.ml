@@ -338,7 +338,8 @@ let drop_last_time (df : Df.Dataflow.t) =
    the context's time profile. *)
 let pinned_run ~label ~adjacency ~validate ~window spec op df =
   let one_shot =
-    outcome (fun () -> M.Concrete.analyze ~adjacency ~validate ~window spec op df)
+    outcome (fun () ->
+        M.Concrete.analyze ~adjacency ~validate ~window spec op df)
   in
   let ctx = M.Concrete.context ~adjacency ~validate ~window spec op in
   Alcotest.(check string)
@@ -511,6 +512,51 @@ let concrete_zoo_lines () : string list =
   in
   zoo @ sequence @ fig11 @ strided @ empty
 
+(* The index sort against the counting sort.  Scaling a dataflow's
+   outermost time coordinate by 1,000,003 keeps its stamps in the same
+   order and, under `Inner_step adjacency, every reuse decision (those
+   compare stamps within one outer block); but it spreads the time codes
+   too thin for the counting sort when the coordinate takes more than
+   one value.  The metrics (and time profile) of each multi-coordinate
+   zoo dataflow must not move. *)
+let test_index_sort_matches_counting_sort () =
+  let fallbacks = Tenet.Obs.counter "concrete.sort_fallbacks" in
+  let before = Tenet.Obs.value fallbacks in
+  let n = ref 0 in
+  Tenet.Obs.enable ();
+  Fun.protect ~finally:Tenet.Obs.disable (fun () ->
+      List.iter
+        (fun (s : Tenet.Analysis.Checker.subject) ->
+          let module C = Tenet.Analysis.Checker in
+          match s.C.s_df.Df.Dataflow.time with
+          | outer :: (_ :: _ as rest) ->
+              let df = s.C.s_df in
+              let sparse =
+                {
+                  df with
+                  Df.Dataflow.time =
+                    Isl.Aff.Mul (Isl.Aff.Int 1_000_003, outer) :: rest;
+                }
+              in
+              let op = zoo_op `Small s.C.s_kernel in
+              (* a constant outer coordinate stays one code when scaled *)
+              let lo, hi =
+                Isl.Aff.interval (Ir.Tensor_op.iter_bounds op) outer
+              in
+              if hi > lo then incr n;
+              let ctx = M.Concrete.context ~window:2 s.C.s_spec op in
+              let label = s.C.s_arch ^ " " ^ df.Df.Dataflow.name in
+              Alcotest.(check string) label
+                (outcome (fun () -> M.Concrete.analyze_in ctx df))
+                (outcome (fun () -> M.Concrete.analyze_in ctx sparse));
+              Alcotest.(check string) (label ^ " profile")
+                (profile_text (M.Concrete.time_profile ctx df))
+                (profile_text (M.Concrete.time_profile ctx sparse))
+          | _ -> ())
+        (Tenet.Analysis.Checker.zoo_subjects ()));
+  (* one index sort per spread analysis and per spread profile *)
+  check_int "index sorts" (2 * !n) (Tenet.Obs.value fallbacks - before)
+
 let test_concrete_zoo_golden () =
   let expected =
     In_channel.with_open_text "golden/concrete_zoo.txt" In_channel.input_all
@@ -578,5 +624,9 @@ let () =
           ]
       );
       ( "golden",
-        [ Alcotest.test_case "zoo pin" `Quick test_concrete_zoo_golden ] );
+        [
+          Alcotest.test_case "zoo pin" `Quick test_concrete_zoo_golden;
+          Alcotest.test_case "index sort = counting sort" `Quick
+            test_index_sort_matches_counting_sort;
+        ] );
     ]

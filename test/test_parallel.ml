@@ -180,7 +180,9 @@ let test_shared_context_concurrent () =
         Array.map (score ctx) dfs
       in
       let ctx = M.Concrete.context ~validate spec op in
-      let par = with_jobs 4 (fun () -> Parallel.map_array ~chunk:1 (score ctx) dfs) in
+      let par =
+        with_jobs 4 (fun () -> Parallel.map_array ~chunk:1 (score ctx) dfs)
+      in
       Array.iteri
         (fun i want ->
           Alcotest.(check string)

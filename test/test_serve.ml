@@ -725,9 +725,9 @@ let test_error_classification () =
       check_bool "names the dim" true (contains msg "zz")
   | _ -> Alcotest.fail "expected an error response"
 
-(* Code spaces past the int range are the client's mistake too.  Before
-   they were refused, the strided time answered ok with 18 stamps (the
-   caches then kept it) and the strided C subscripts answered internal. *)
+(* Code spaces past the int range are the client's mistake too: a
+   bad_request naming the space, never an ok with wrapped codes (which
+   the caches would keep) or an internal error. *)
 let test_wide_codes_bad_request () =
   let expect what (r : Api.Request.t) want =
     match Api.run r with

@@ -193,9 +193,9 @@ let test_rejects_invalid () =
     "t: two instances share a spacetime-stamp"
 
 (* Time and element codes past the int range are refused with the
-   concrete engine's texts: before, the strided time wrapped into 18
-   stamps (cycles=19 against the unstrided mapping's 65) and the strided
-   Y subscripts made an element table of negative size. *)
+   concrete engine's texts, never wrapped: a wrapped time code merges
+   stamps (the strided mapping is the unstrided one, 65 cycles), and a
+   wrapped element space sizes a table negatively. *)
 let test_rejects_wide_codes () =
   let module A = Tenet.Isl.Aff in
   let spec = Arch.Repository.find "tpu-8x8-systolic" in
@@ -214,9 +214,9 @@ let test_rejects_wide_codes () =
     (df "wide" (List.map stride [ A.var "k"; A.var "i"; A.var "j" ]))
     "wide: time-stamp space of 6442450945 x 6442450945 x 6442450945 codes \
      is past the int range";
+  let plain = df "plain" [ A.var "k"; A.var "i"; A.var "j" ] in
   check_int "unstrided cycles" 65
-    (Sim.Simulator.run spec gemm (df "plain" [ A.var "k"; A.var "i"; A.var "j" ]))
-      .Sim.Simulator.cycles;
+    (Sim.Simulator.run spec gemm plain).Sim.Simulator.cycles;
   let wide x y = A.Add (stride (A.var x), A.var y) in
   let acc tensor subscripts direction =
     { Ir.Tensor_op.tensor; subscripts; direction }
