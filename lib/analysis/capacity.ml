@@ -80,31 +80,12 @@ let enumerate_peaks (spec : Arch.Spec.t) (op : Ir.Tensor_op.t)
   let pe_base = Array.map (fun d -> (0, d)) (Arch.Pe_array.dims pe) in
   let pe_size = Arch.Pe_array.size pe in
   let r = Df.Dataflow.n_space df and m = Df.Dataflow.n_time df in
-  let p_scratch = Array.make r 0 and t_scratch = Array.make m 0 in
-  let buckets : (int, (int * int) list ref) Hashtbl.t =
-    Hashtbl.create 4096
-  in
-  let tkeys = ref [] in
-  C.iter_instances c (fun () ->
-      C.eval_tuple c c.C.space_exprs p_scratch;
-      C.eval_tuple c c.C.time_exprs t_scratch;
-      let tkey = C.encode c.C.time_base t_scratch in
-      let pkey = C.encode pe_base p_scratch in
-      let inst = C.encode_iters c in
-      match Hashtbl.find_opt buckets tkey with
-      | Some l -> l := (pkey, inst) :: !l
-      | None ->
-          Hashtbl.add buckets tkey (ref [ (pkey, inst) ]);
-          tkeys := tkey :: !tkeys);
-  let order = List.sort compare !tkeys in
+  C.with_pool @@ fun pool ->
+  (* the concrete engine's pass 1: instances in stamp order, each
+     stamp's run in instance order *)
+  let st = C.order_stamps pool c ~pe_base ~n:(C.instance_count op) in
   let interval = Arch.Interconnect.interval spec.Arch.Spec.topology in
-  let preds : (int, int list) Hashtbl.t = Hashtbl.create 256 in
-  Isl.Map.iter_pairs
-    (fun src dst ->
-      let s = C.encode pe_base src and d = C.encode pe_base dst in
-      let prev = try Hashtbl.find preds d with Not_found -> [] in
-      Hashtbl.replace preds d (s :: prev))
-    (Df.Spacetime.reuse_pe_relation pe spec.Arch.Spec.topology);
+  let preds = C.pred_pe_keys spec in
   let tensors = Array.of_list (Ir.Tensor_op.tensors op) in
   let n_tensors = Array.length tensors in
   let accs =
@@ -145,149 +126,152 @@ let enumerate_peaks (spec : Arch.Spec.t) (op : Ir.Tensor_op.t)
   let prev_live : (int * int array, unit) Hashtbl.t ref =
     ref (Hashtbl.create 64)
   in
-  List.iter
-    (fun tkey ->
-      let insts = !(Hashtbl.find buckets tkey) in
-      let needs =
-        List.map
-          (fun (pkey, inst) ->
-            (pkey, List.init n_tensors (fun ti -> (ti, fs_of inst ti))))
-          insts
-      in
-      let stamp_needs : (int * int, int array list) Hashtbl.t =
-        Hashtbl.create 64
-      in
-      let used_now : (int * int array, unit) Hashtbl.t = Hashtbl.create 64 in
-      List.iter
-        (fun (pkey, per_tensor) ->
-          List.iter
-            (fun (ti, fs) ->
-              Hashtbl.replace stamp_needs (pkey, ti) fs;
-              List.iter (fun f -> Hashtbl.replace used_now (ti, f) ()) fs)
-            per_tensor)
-        needs;
-      (* chip-level residency and off-chip inflow *)
-      let chip = Hashtbl.length used_now in
-      if chip > !best_chip then begin
-        best_chip := chip;
-        best_chip_at := decode_t tkey
-      end;
-      let inflow =
-        Hashtbl.fold
-          (fun k () acc -> if Hashtbl.mem !prev_live k then acc else acc + 1)
-          used_now 0
-      in
-      if inflow > !best_inflow then begin
-        best_inflow := inflow;
-        best_inflow_at := decode_t tkey
-      end;
-      (* per-PE residency (what the register file must hold after this
-         stamp commits), lex-least PE among ties *)
-      let stamp_pe = ref None in
-      List.iter
-        (fun (pkey, per_tensor) ->
-          let live =
-            List.fold_left (fun a (_, fs) -> a + List.length fs) 0 per_tensor
-          in
-          match !stamp_pe with
-          | Some (bl, bp) when bl > live || (bl = live && bp <= pkey) -> ()
-          | _ -> stamp_pe := Some (live, pkey))
-        needs;
-      (match !stamp_pe with
-      | Some (live, pkey) when live > !best_pe ->
-          best_pe := live;
-          best_pe_at := Array.append (decode_p pkey) (decode_t tkey)
-      | _ -> ());
-      (* interconnect transfers: per-edge load and per-source fan-out *)
-      let edge_load : (int * int, int ref) Hashtbl.t = Hashtbl.create 64 in
-      let fan : (int * int * int array, int ref) Hashtbl.t =
-        Hashtbl.create 64
-      in
-      List.iter
-        (fun (pkey, per_tensor) ->
-          List.iter
-            (fun (ti, fs) ->
-              let held = regs.((pkey * n_tensors) + ti) in
-              let have_local f =
-                List.exists (fun g -> compare g f = 0) held
-              in
-              let supplier f =
-                match Hashtbl.find_opt preds pkey with
-                | None -> None
-                | Some ps ->
-                    List.fold_left
-                      (fun acc q ->
-                        let has =
-                          if interval = 0 then
-                            match Hashtbl.find_opt stamp_needs (q, ti) with
-                            | None -> false
-                            | Some fs' ->
-                                List.exists (fun g -> compare g f = 0) fs'
-                          else
-                            List.exists
-                              (fun g -> compare g f = 0)
-                              regs.((q * n_tensors) + ti)
-                        in
-                        if not has then acc
-                        else
-                          match acc with
-                          | Some b when b <= q -> acc
-                          | _ -> Some q)
-                      None ps
-              in
-              List.iter
-                (fun f ->
-                  if not (have_local f) then
-                    match supplier f with
-                    | None -> ()
-                    | Some q ->
-                        (match Hashtbl.find_opt edge_load (q, pkey) with
-                        | Some n -> incr n
-                        | None -> Hashtbl.add edge_load (q, pkey) (ref 1));
-                        (match Hashtbl.find_opt fan (q, ti, f) with
-                        | Some n -> incr n
-                        | None -> Hashtbl.add fan (q, ti, f) (ref 1)))
-                fs)
-            per_tensor)
-        needs;
-      let stamp_link = ref None in
-      Hashtbl.iter
-        (fun (q, p) n ->
-          let n = !n in
-          match !stamp_link with
-          | Some (bn, bq, bp) when bn > n || (bn = n && (bq, bp) <= (q, p))
-            ->
-              ()
-          | _ -> stamp_link := Some (n, q, p))
-        edge_load;
-      (match !stamp_link with
-      | Some (n, q, p) when n > !best_link ->
-          best_link := n;
-          best_link_at :=
-            Array.concat [ decode_t tkey; decode_p q; decode_p p ]
-      | _ -> ());
-      let stamp_fan = ref None in
-      Hashtbl.iter
-        (fun (q, _, _) n ->
-          let n = !n in
-          match !stamp_fan with
-          | Some (bn, bq) when bn > n || (bn = n && bq <= q) -> ()
-          | _ -> stamp_fan := Some (n, q))
-        fan;
-      (match !stamp_fan with
-      | Some (n, q) when n > !best_fan ->
-          best_fan := n;
-          best_fan_at := Array.append (decode_t tkey) (decode_p q)
-      | _ -> ());
-      (* commit: active PEs replace their register sets, idle PEs keep *)
-      List.iter
-        (fun (pkey, per_tensor) ->
-          List.iter
-            (fun (ti, fs) -> regs.((pkey * n_tensors) + ti) <- fs)
-            per_tensor)
-        needs;
-      prev_live := used_now)
-    order;
+  for k = 0 to st.C.n_stamps - 1 do
+    let tkey = st.C.codes.(k) in
+    (* (PE, instance) pairs, the run's newest instance first *)
+    let stop = st.C.starts.(k + 1) in
+    let insts =
+      List.init (stop - st.C.starts.(k)) (fun j ->
+          let i = st.C.order.(stop - 1 - j) in
+          (st.C.pkey.(i), i))
+    in
+    let needs =
+      List.map
+        (fun (pkey, inst) ->
+          (pkey, List.init n_tensors (fun ti -> (ti, fs_of inst ti))))
+        insts
+    in
+    let stamp_needs : (int * int, int array list) Hashtbl.t =
+      Hashtbl.create 64
+    in
+    let used_now : (int * int array, unit) Hashtbl.t = Hashtbl.create 64 in
+    List.iter
+      (fun (pkey, per_tensor) ->
+        List.iter
+          (fun (ti, fs) ->
+            Hashtbl.replace stamp_needs (pkey, ti) fs;
+            List.iter (fun f -> Hashtbl.replace used_now (ti, f) ()) fs)
+          per_tensor)
+      needs;
+    (* chip-level residency and off-chip inflow *)
+    let chip = Hashtbl.length used_now in
+    if chip > !best_chip then begin
+      best_chip := chip;
+      best_chip_at := decode_t tkey
+    end;
+    let inflow =
+      Hashtbl.fold
+        (fun k () acc -> if Hashtbl.mem !prev_live k then acc else acc + 1)
+        used_now 0
+    in
+    if inflow > !best_inflow then begin
+      best_inflow := inflow;
+      best_inflow_at := decode_t tkey
+    end;
+    (* per-PE residency (what the register file must hold after this
+       stamp commits), lex-least PE among ties *)
+    let stamp_pe = ref None in
+    List.iter
+      (fun (pkey, per_tensor) ->
+        let live =
+          List.fold_left (fun a (_, fs) -> a + List.length fs) 0 per_tensor
+        in
+        match !stamp_pe with
+        | Some (bl, bp) when bl > live || (bl = live && bp <= pkey) -> ()
+        | _ -> stamp_pe := Some (live, pkey))
+      needs;
+    (match !stamp_pe with
+    | Some (live, pkey) when live > !best_pe ->
+        best_pe := live;
+        best_pe_at := Array.append (decode_p pkey) (decode_t tkey)
+    | _ -> ());
+    (* interconnect transfers: per-edge load and per-source fan-out *)
+    let edge_load : (int * int, int ref) Hashtbl.t = Hashtbl.create 64 in
+    let fan : (int * int * int array, int ref) Hashtbl.t =
+      Hashtbl.create 64
+    in
+    List.iter
+      (fun (pkey, per_tensor) ->
+        List.iter
+          (fun (ti, fs) ->
+            let held = regs.((pkey * n_tensors) + ti) in
+            let have_local f =
+              List.exists (fun g -> compare g f = 0) held
+            in
+            let supplier f =
+              List.fold_left
+                (fun acc q ->
+                  let has =
+                    if interval = 0 then
+                      match Hashtbl.find_opt stamp_needs (q, ti) with
+                      | None -> false
+                      | Some fs' ->
+                          List.exists (fun g -> compare g f = 0) fs'
+                    else
+                      List.exists
+                        (fun g -> compare g f = 0)
+                        regs.((q * n_tensors) + ti)
+                  in
+                  if not has then acc
+                  else
+                    match acc with
+                    | Some b when b <= q -> acc
+                    | _ -> Some q)
+                None preds.(pkey)
+            in
+            List.iter
+              (fun f ->
+                if not (have_local f) then
+                  match supplier f with
+                  | None -> ()
+                  | Some q ->
+                      (match Hashtbl.find_opt edge_load (q, pkey) with
+                      | Some n -> incr n
+                      | None -> Hashtbl.add edge_load (q, pkey) (ref 1));
+                      (match Hashtbl.find_opt fan (q, ti, f) with
+                      | Some n -> incr n
+                      | None -> Hashtbl.add fan (q, ti, f) (ref 1)))
+              fs)
+          per_tensor)
+      needs;
+    let stamp_link = ref None in
+    Hashtbl.iter
+      (fun (q, p) n ->
+        let n = !n in
+        match !stamp_link with
+        | Some (bn, bq, bp) when bn > n || (bn = n && (bq, bp) <= (q, p))
+          ->
+            ()
+        | _ -> stamp_link := Some (n, q, p))
+      edge_load;
+    (match !stamp_link with
+    | Some (n, q, p) when n > !best_link ->
+        best_link := n;
+        best_link_at :=
+          Array.concat [ decode_t tkey; decode_p q; decode_p p ]
+    | _ -> ());
+    let stamp_fan = ref None in
+    Hashtbl.iter
+      (fun (q, _, _) n ->
+        let n = !n in
+        match !stamp_fan with
+        | Some (bn, bq) when bn > n || (bn = n && bq <= q) -> ()
+        | _ -> stamp_fan := Some (n, q))
+      fan;
+    (match !stamp_fan with
+    | Some (n, q) when n > !best_fan ->
+        best_fan := n;
+        best_fan_at := Array.append (decode_t tkey) (decode_p q)
+    | _ -> ());
+    (* commit: active PEs replace their register sets, idle PEs keep *)
+    List.iter
+      (fun (pkey, per_tensor) ->
+        List.iter
+          (fun (ti, fs) -> regs.((pkey * n_tensors) + ti) <- fs)
+          per_tensor)
+      needs;
+    prev_live := used_now
+  done;
   {
     pe_live = max 0 !best_pe;
     pe_live_at = !best_pe_at;

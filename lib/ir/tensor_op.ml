@@ -48,7 +48,16 @@ let n_iters t = List.length t.iters
 let extent i = i.hi - i.lo + 1
 
 let n_instances t =
-  List.fold_left (fun acc i -> acc * extent i) 1 t.iters
+  List.fold_left
+    (fun acc i ->
+      let e = max 0 (extent i) in
+      if e > 0 && acc > max_int / e then
+        invalid_arg
+          (Printf.sprintf "Tensor_op.n_instances: %s has more instances than \
+                           an int holds"
+             t.name)
+      else acc * e)
+    1 t.iters
 
 let iter_bounds t name =
   let i = List.find (fun i -> String.equal i.iname name) t.iters in

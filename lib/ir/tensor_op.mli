@@ -35,7 +35,11 @@ val n_iters : t -> int
 val extent : iter -> int
 
 val n_instances : t -> int
-(** Product of loop extents, i.e. [card D_S]; one MAC per instance. *)
+(** Product of loop extents, i.e. [card D_S]; one MAC per instance.  An
+    empty loop (upper bound below the lower) has no instances.  Raises
+    [Invalid_argument] past the int range, where the product would wrap;
+    the concrete engine and the simulator refuse such ops first, as
+    invalid dataflows. *)
 
 val iter_bounds : t -> string -> int * int
 (** Inclusive bounds of a named iterator; raises [Not_found]. *)

@@ -10,17 +10,19 @@
    {!Scaled} analysis instead.
 
    Representation.  Stamps, PEs and tensor elements are mixed-radix int
-   codes (ascending code = lexicographic order); every code space is
-   sized with overflow-checked products and refused past the int range,
-   so no code wraps.  Pass 1 stores each instance's time code and PE key
-   in int arrays and orders the instances by time code: a counting sort,
-   or an index sort when the time-code space dwarfs the instance count.
+   codes (ascending code = lexicographic order); every code space, the
+   instance count included, is sized with overflow-checked products and
+   refused past the int range, so no code or count wraps.  Pass 1 stores
+   each instance's time code and PE key in int arrays and orders the
+   instances by time code: a counting sort, or an index sort when the
+   time-code space dwarfs the instance count.  It is the only pass 1:
+   the simulator and the capacity checker's enumeration run it too.
    Pass 2 walks each stamp's run of instances against the last-touch,
-   same-stamp and footprint tables.  Those tables and pass 1's arrays
-   live in a scratch record the evaluation context owns; every mark a
-   walk writes carries an epoch advanced before the walk, so one record
-   serves walk after walk without being cleared.  test/golden/
-   concrete_zoo.txt pins the outputs. *)
+   same-stamp and footprint tables.  Every walk takes its arrays from
+   its domain's scratch pool, which holds them weakly; every mark a walk
+   writes carries the pool's epoch, advanced before the walk, so one
+   array serves walk after walk, of any context, without being cleared.
+   test/golden/concrete_zoo.txt pins the outputs. *)
 
 module Isl = Tenet_isl
 module Ir = Tenet_ir
@@ -58,11 +60,9 @@ type compiled = {
   n_iters : int;
   vals : int array; (* current iterator values (mutable scratch) *)
   env : string -> int;
-  lookup : string -> int; (* iterator name -> index in [vals] *)
-  space_exprs : Isl.Aff.t array;
-  time_exprs : Isl.Aff.t array;
-  (* staged evaluators of the same expressions over [vals] (no name
-     resolution or AST walk per instance — the walk is the hot loop) *)
+  (* staged evaluators of the space and time expressions over [vals] (no
+     name resolution or AST walk per instance — the walk is the hot
+     loop) *)
   space_evals : (int array -> int) array;
   time_evals : (int array -> int) array;
   time_base : (int * int) array; (* mixed-radix (lo, extent) per time dim *)
@@ -96,9 +96,6 @@ let compile (op : Ir.Tensor_op.t) (df : Df.Dataflow.t) : compiled =
     n_iters;
     vals;
     env;
-    lookup;
-    space_exprs = Array.of_list df.Df.Dataflow.space;
-    time_exprs = Array.of_list df.Df.Dataflow.time;
     space_evals = Array.of_list (List.map stage df.Df.Dataflow.space);
     time_evals = Array.of_list (List.map stage df.Df.Dataflow.time);
     time_base;
@@ -131,14 +128,6 @@ let encode_staged (base : (int * int) array)
     if v < 0 || v >= ext then ok := false else acc := (!acc * ext) + v
   done;
   if !ok then !acc else -1
-
-let encode_iters (c : compiled) : int =
-  let acc = ref 0 in
-  for i = 0 to c.n_iters - 1 do
-    let lo, ext = c.iters.(i) in
-    acc := (!acc * ext) + (c.vals.(i) - lo)
-  done;
-  !acc
 
 let decode_iters (c : compiled) (code : int) (out : int array) : unit =
   let code = ref code in
@@ -178,19 +167,6 @@ let iter_box (iters : (int * int) array) (vals : int array) (f : unit -> unit)
 (* Iterate the whole iteration box, calling [f] with [c.vals] filled. *)
 let iter_instances (c : compiled) (f : unit -> unit) : unit =
   iter_box c.iters c.vals f
-
-let eval_tuple (c : compiled) (exprs : Isl.Aff.t array) (out : int array) :
-    unit =
-  for i = 0 to Array.length exprs - 1 do
-    out.(i) <- Isl.Aff.eval c.env exprs.(i)
-  done
-
-(* Staged variant of [eval_tuple] for the walk loops. *)
-let eval_staged (c : compiled) (evals : (int array -> int) array)
-    (out : int array) : unit =
-  for i = 0 to Array.length evals - 1 do
-    out.(i) <- evals.(i) c.vals
-  done
 
 (* Sort [a.(off) .. a.(off + len - 1)] ascending and drop duplicates in
    place; returns the distinct count.  A span is one instance's accesses
@@ -257,6 +233,206 @@ let clear_pred_cache () =
   Mutex.lock pred_cache_mutex;
   Hashtbl.reset pred_cache;
   Mutex.unlock pred_cache_mutex
+
+(* ------------------------------------------------------------------ *)
+(* The per-domain scratch pool.                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Every walk's working arrays come from one pool per domain: pass 1's
+   (the concrete engine's, [time_profile]'s, the simulator's and the
+   capacity checker's), the conflict marks and pass 2's tables.  Slot k
+   keeps the array the last walk left there, held weakly so that a major
+   collection can reclaim it while no walk runs; a walk takes it when it
+   is long enough and makes a longer one otherwise.  A cell of a marks
+   slot ([sl_pe_mark], [sl_last], [sl_same], [sl_seen]) is current only
+   when it holds a mark at or above the epoch of the walk reading it:
+   each walk takes the marks [epoch .. epoch + stamps] (stamp s marks
+   [epoch + s], footprints [epoch + stamps]) and advances the pool's
+   epoch past them before it writes any.  The epoch only grows, so what
+   any earlier walk on the domain left, for whatever context, reads as
+   unmarked, and a fresh array (all 0) does too.  A walk that starts
+   while another holds the pool (say, from a simulator trace callback)
+   gets a pool of its own. *)
+type pool = {
+  mutable epoch : int;
+  mutable busy : bool;
+  mutable held : int array Weak.t;
+}
+
+let sl_tcode = 0 (* time code per instance *)
+let sl_pkey = 1 (* PE key per instance (-1: outside the array) *)
+let sl_order = 2 (* instances in stamp order, ascending within one *)
+let sl_codes = 3 (* time code per stamp *)
+let sl_starts = 4 (* stamp s: order.(starts.(s)) .. starts.(s + 1) - 1 *)
+let sl_counts = 5 (* counting-sort histogram *)
+let sl_pe_mark = 6 (* conflict marks, indexed by PE key + 1 *)
+let sl_last = 7 (* (PE, tensor, element) key -> mark of last touch *)
+let sl_same = 8 (* key -> mark of the stamp needing it (interval 0) *)
+let sl_seen = 9 (* tensor * fspace + element -> footprint mark *)
+
+(* One stamp's decoded element codes, per tensor ti: codes in slot
+   [sl_stamp_buf + 2 ti], row offsets in the slot after it. *)
+let sl_stamp_buf = 10
+
+let new_pool () = { epoch = 1; busy = false; held = Weak.create 16 }
+let pool_key = Domain.DLS.new_key new_pool
+
+(* Smallest array the pool makes.  A shorter one would start in the
+   minor heap, where the pool's weak hold lets the next minor collection
+   drop it, so a run of small walks would make their arrays anew. *)
+let pool_min = 1024
+
+(* An array of at least [len] cells in [slot]; its contents are what the
+   slot's last user left, or 0. *)
+let take (p : pool) (slot : int) (len : int) : int array =
+  if slot >= Weak.length p.held then begin
+    let w = Weak.create (2 * (slot + 1)) in
+    Weak.blit p.held 0 w 0 (Weak.length p.held);
+    p.held <- w
+  end;
+  match Weak.get p.held slot with
+  | Some a when Array.length a >= len -> a
+  | _ ->
+      let a = Array.make (max len pool_min) 0 in
+      Weak.set p.held slot (Some a);
+      a
+
+(* Run [f] on this domain's pool, or on a fresh one when a walk already
+   holds it. *)
+let with_pool (f : pool -> 'a) : 'a =
+  let p = Domain.DLS.get pool_key in
+  if p.busy then f (new_pool ())
+  else begin
+    p.busy <- true;
+    Fun.protect ~finally:(fun () -> p.busy <- false) (fun () -> f p)
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Pass 1: instances in stamp order.                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Points of [op]'s iteration box, refused past the int range. *)
+let instance_count (op : Ir.Tensor_op.t) : int =
+  code_space "instance space"
+    (Array.of_list (List.map Ir.Tensor_op.extent op.Ir.Tensor_op.iters))
+
+(* Pass 1's result, in arrays of the pool that made it.  Instance i (the
+   i-th [iter_instances] visits) has PE key pkey.(i) (-1 outside the
+   array); stamp s has time code codes.(s) and runs over the instances
+   order.(starts.(s)) .. order.(starts.(s + 1) - 1), ascending.  The
+   walk owns the marks [epoch .. epoch + n_stamps]. *)
+type stamps = {
+  n_stamps : int;
+  busiest : int; (* longest run *)
+  epoch : int;
+  pkey : int array;
+  order : int array;
+  codes : int array;
+  starts : int array;
+}
+
+(* Time-code spaces up to this many codes per instance are ordered by a
+   counting sort; sparser ones by an index sort. *)
+let counting_sort_ratio = 4
+
+(* Pass 1 of [c]'s [n] instances, PE keys under [pe_base]: each
+   instance's time code and PE key, the instances in stamp order and
+   each stamp's code and run.  Reserves the walk's marks. *)
+let order_stamps (p : pool) (c : compiled) ~(pe_base : (int * int) array)
+    ~(n : int) : stamps =
+  let tcode = take p sl_tcode n and pkey = take p sl_pkey n in
+  let order = take p sl_order n in
+  let codes = take p sl_codes (n + 1) and starts = take p sl_starts (n + 1) in
+  let next = ref 0 in
+  iter_instances c (fun () ->
+      let i = !next in
+      tcode.(i) <- encode_staged c.time_base c.time_evals c.vals;
+      pkey.(i) <- encode_staged pe_base c.space_evals c.vals;
+      next := i + 1);
+  let n_stamps = ref 0 and busiest = ref 0 in
+  if c.t_space <= (counting_sort_ratio * n) + 1024 then begin
+    (* histogram over code + 1 (an out-of-range stamp encodes as -1),
+       turned into each stamp's first slot *)
+    let size = c.t_space + 2 in
+    let cnt = take p sl_counts size in
+    Array.fill cnt 0 size 0;
+    for i = 0 to n - 1 do
+      let k = tcode.(i) + 1 in
+      cnt.(k) <- cnt.(k) + 1
+    done;
+    let pos = ref 0 in
+    for k = 0 to size - 1 do
+      let len = cnt.(k) in
+      if len > 0 then begin
+        codes.(!n_stamps) <- k - 1;
+        starts.(!n_stamps) <- !pos;
+        incr n_stamps;
+        if len > !busiest then busiest := len;
+        cnt.(k) <- !pos;
+        pos := !pos + len
+      end
+    done;
+    for i = 0 to n - 1 do
+      let k = tcode.(i) + 1 in
+      order.(cnt.(k)) <- i;
+      cnt.(k) <- cnt.(k) + 1
+    done
+  end
+  else begin
+    Obs.incr c_sort_fallbacks;
+    (* only the first n cells: the pooled arrays may be longer *)
+    let sorted = Array.init n Fun.id in
+    Array.stable_sort (fun a b -> Int.compare tcode.(a) tcode.(b)) sorted;
+    Array.blit sorted 0 order 0 n;
+    let j = ref 0 in
+    while !j < n do
+      let t = tcode.(order.(!j)) and a = !j in
+      while !j < n && tcode.(order.(!j)) = t do
+        incr j
+      done;
+      codes.(!n_stamps) <- t;
+      starts.(!n_stamps) <- a;
+      incr n_stamps;
+      if !j - a > !busiest then busiest := !j - a
+    done
+  end;
+  starts.(!n_stamps) <- n;
+  let epoch = p.epoch in
+  p.epoch <- epoch + !n_stamps + 1;
+  {
+    n_stamps = !n_stamps;
+    busiest = !busiest;
+    epoch;
+    pkey;
+    order;
+    codes;
+    starts;
+  }
+
+(* Whether two instances of one stamp share a PE; PE keys are below
+   [pe_size]. *)
+let conflicting (p : pool) (st : stamps) ~(pe_size : int) : bool =
+  let pe_mark = take p sl_pe_mark (pe_size + 1) in
+  let pkey = st.pkey and order = st.order and starts = st.starts in
+  let found = ref false and s = ref 0 in
+  while (not !found) && !s < st.n_stamps do
+    let mark = st.epoch + !s in
+    for j = starts.(!s) to starts.(!s + 1) - 1 do
+      let k = pkey.(order.(j)) + 1 in
+      if pe_mark.(k) = mark then found := true else pe_mark.(k) <- mark
+    done;
+    incr s
+  done;
+  !found
+
+(* Refuse [df] when two of its instances share a spacetime-stamp. *)
+let check_conflicts (p : pool) (st : stamps) ~(pe_size : int)
+    (df : Df.Dataflow.t) : unit =
+  if conflicting p st ~pe_size then
+    raise
+      (Invalid_dataflow
+         (Printf.sprintf "%s: two instances share a spacetime-stamp"
+            df.Df.Dataflow.name))
 
 (* ------------------------------------------------------------------ *)
 (* Reusable evaluation context.                                        *)
@@ -333,47 +509,13 @@ let element_encoders (op : Ir.Tensor_op.t) :
   in
   (bases, spaces, encs)
 
-(* Per-walk working storage, owned by a context and used by one walk at
-   a time.  Pass 1's arrays have one cell per instance.  The tables of
-   pass 2 are direct-addressed arrays when the context's key space is
-   small enough ([x_use_direct]), hash tables otherwise (emptied before
-   each walk).  A cell of [pe_mark], [last], [same] or [seen] is current
-   only when it holds a mark at or above the epoch of the walk reading
-   it: each walk takes the marks [epoch .. epoch + stamps] (stamp s
-   marks [epoch + s], footprints [epoch + stamps]) and advances [epoch]
-   past them before it writes any. *)
-type scratch = {
-  mutable epoch : int;
-  tcode : int array; (* time code per instance *)
-  pkey : int array; (* PE key per instance (-1: outside the array) *)
-  order : int array; (* instances in stamp order, ascending within one *)
-  codes : int array; (* time code per stamp *)
-  starts : int array; (* stamp s: order.(starts.(s)) .. starts.(s + 1) - 1 *)
-  mutable counts : int array; (* counting-sort histogram, grown on demand *)
-  pe_mark : int array; (* conflict check, indexed by pkey + 1 *)
-  last : int array; (* (PE, tensor, element) key -> mark of last touch *)
-  same : int array; (* key -> mark of the stamp needing it (interval 0) *)
-  seen : int array; (* tensor * fspace + element -> footprint mark *)
-  last_h : (int, int) Hashtbl.t;
-  same_h : (int, int) Hashtbl.t;
-  seen_h : (int, int) Hashtbl.t;
-  (* one stamp's decoded element codes when the context has no shared
-     needs table: per tensor, slot j's codes are
-     buf.(ti).(boffs.(ti).(j)) .. boffs.(ti).(j + 1) - 1 *)
-  mutable rows : int;
-  mutable buf : int array array;
-  mutable boffs : int array array;
-}
-
 (* Everything the analysis needs that depends only on the (architecture,
    operator, evaluation options) triple — not on the candidate dataflow.
    A DSE sweep scores hundreds of dataflows against one such triple; the
    context is built once and shared, and each candidate pays only the
-   dataflow-dependent part of the walk.  Apart from its free list of
-   scratch records, a context is immutable after construction; a walk
-   pops a record (or makes one) and pushes it back, so each domain
-   walking the context at once has its own and sharing one context
-   across the parallel work pool is safe. *)
+   dataflow-dependent part of the walk.  A context is immutable after
+   construction and every walk works in its own domain's pool, so one
+   context can be shared across the parallel work pool. *)
 type ctx = {
   x_spec : Arch.Spec.t;
   x_op : Ir.Tensor_op.t;
@@ -402,7 +544,6 @@ type ctx = {
          this one walk of the iteration box serves every candidate the
          context scores.  [None] when the layer is too large for the
          table to pay. *)
-  x_free : scratch list Atomic.t;
 }
 
 (* Caps on the shared element-needs table: past a few million instances
@@ -411,10 +552,9 @@ type ctx = {
 let needs_max_instances = 2_000_000
 let needs_max_cells = 8_000_000
 
-let build_needs (op : Ir.Tensor_op.t)
+let build_needs (op : Ir.Tensor_op.t) ~(n_instances : int)
     (fenc_evals : (int array -> int) array array) :
     (int array array * int array array) option =
-  let n_instances = Ir.Tensor_op.n_instances op in
   let n_tensors = Array.length fenc_evals in
   if
     n_instances > needs_max_instances
@@ -467,6 +607,7 @@ let pred_csr (preds : int list array) : int array * int array =
 let context ?(adjacency : Df.Spacetime.adjacency = `Inner_step)
     ?(validate = true) ?(window = 1) ?(share = true) (spec : Arch.Spec.t)
     (op : Ir.Tensor_op.t) : ctx =
+  let n_instances = instance_count op in
   let pe = spec.Arch.Spec.pe in
   let tensors = Array.of_list (Ir.Tensor_op.tensors op) in
   let n_tensors = Array.length tensors in
@@ -484,7 +625,7 @@ let context ?(adjacency : Df.Spacetime.adjacency = `Inner_step)
     x_adjacency = adjacency;
     x_window = window;
     x_validate = validate;
-    x_n_instances = Ir.Tensor_op.n_instances op;
+    x_n_instances = n_instances;
     x_tensors = tensors;
     x_n_tensors = n_tensors;
     x_outputs = Ir.Tensor_op.outputs op;
@@ -499,52 +640,8 @@ let context ?(adjacency : Df.Spacetime.adjacency = `Inner_step)
     (* Direct addressing also requires validated space bounds: only
        validation guarantees every pkey is in range. *)
     x_use_direct = validate && kspace > 0 && kspace <= 50_000_000;
-    x_needs = (if share then build_needs op fenc_evals else None);
-    x_free = Atomic.make [];
+    x_needs = (if share then build_needs op ~n_instances fenc_evals else None);
   }
-
-let new_scratch (ctx : ctx) : scratch =
-  let n = max 0 ctx.x_n_instances in
-  let direct n = Array.make (if ctx.x_use_direct then n else 0) 0 in
-  let hashed () = Hashtbl.create (if ctx.x_use_direct then 1 else 4096) in
-  {
-    epoch = 1;
-    tcode = Array.make n 0;
-    pkey = Array.make n 0;
-    order = Array.make n 0;
-    codes = Array.make (n + 1) 0;
-    starts = Array.make (n + 1) 0;
-    counts = [||];
-    pe_mark = Array.make (ctx.x_pe_size + 1) 0;
-    last = direct ctx.x_kspace;
-    same = direct (if ctx.x_dt_spatial = 0 then ctx.x_kspace else 0);
-    seen = direct (ctx.x_n_tensors * ctx.x_fspace);
-    last_h = hashed ();
-    same_h = hashed ();
-    seen_h = hashed ();
-    rows = 0;
-    buf = Array.make ctx.x_n_tensors [||];
-    boffs = Array.make ctx.x_n_tensors [||];
-  }
-
-(* Run [f] on a scratch record of [ctx] no other walk is using. *)
-let with_scratch (ctx : ctx) (f : scratch -> 'a) : 'a =
-  let rec pop () =
-    match Atomic.get ctx.x_free with
-    | [] -> new_scratch ctx
-    | s :: rest as l ->
-        if Atomic.compare_and_set ctx.x_free l rest then s else pop ()
-  in
-  let s = pop () in
-  let rec push () =
-    let l = Atomic.get ctx.x_free in
-    if not (Atomic.compare_and_set ctx.x_free l (s :: l)) then push ()
-  in
-  Fun.protect ~finally:push (fun () -> f s)
-
-(* ------------------------------------------------------------------ *)
-(* Pass 1: instances in stamp order.                                   *)
-(* ------------------------------------------------------------------ *)
 
 let check_size (ctx : ctx) (df : Df.Dataflow.t) : unit =
   if ctx.x_n_instances > 200_000_000 then
@@ -554,91 +651,6 @@ let check_size (ctx : ctx) (df : Df.Dataflow.t) : unit =
             "%s: %d instances is too large to enumerate; use Scaled.analyze \
              (CLI: --scale-dims) for layers of this size"
             df.Df.Dataflow.name ctx.x_n_instances))
-
-(* Time-code spaces up to this many codes per instance are ordered by a
-   counting sort; sparser ones by an index sort. *)
-let counting_sort_ratio = 4
-
-(* Fill [s]'s pass-1 arrays for [c]: each instance's time code and PE
-   key, the instances in stamp order and each stamp's code and run.
-   Reserves the walk's marks.  Returns (stamps, largest run, epoch). *)
-let order_stamps (ctx : ctx) (s : scratch) (c : compiled) : int * int * int =
-  let tcode = s.tcode and pkey = s.pkey and order = s.order in
-  let codes = s.codes and starts = s.starts in
-  let pe_base = ctx.x_pe_base in
-  let next = ref 0 in
-  iter_instances c (fun () ->
-      let i = !next in
-      tcode.(i) <- encode_staged c.time_base c.time_evals c.vals;
-      pkey.(i) <- encode_staged pe_base c.space_evals c.vals;
-      next := i + 1);
-  let n = !next in
-  let n_stamps = ref 0 and busiest = ref 0 in
-  if c.t_space <= (counting_sort_ratio * n) + 1024 then begin
-    (* histogram over code + 1 (an out-of-range stamp encodes as -1),
-       turned into each stamp's first slot *)
-    let size = c.t_space + 2 in
-    if Array.length s.counts < size then s.counts <- Array.make size 0
-    else Array.fill s.counts 0 size 0;
-    let cnt = s.counts in
-    for i = 0 to n - 1 do
-      let k = tcode.(i) + 1 in
-      cnt.(k) <- cnt.(k) + 1
-    done;
-    let pos = ref 0 in
-    for k = 0 to size - 1 do
-      let len = cnt.(k) in
-      if len > 0 then begin
-        codes.(!n_stamps) <- k - 1;
-        starts.(!n_stamps) <- !pos;
-        incr n_stamps;
-        if len > !busiest then busiest := len;
-        cnt.(k) <- !pos;
-        pos := !pos + len
-      end
-    done;
-    for i = 0 to n - 1 do
-      let k = tcode.(i) + 1 in
-      order.(cnt.(k)) <- i;
-      cnt.(k) <- cnt.(k) + 1
-    done
-  end
-  else begin
-    Obs.incr c_sort_fallbacks;
-    for i = 0 to n - 1 do
-      order.(i) <- i
-    done;
-    Array.stable_sort (fun a b -> Int.compare tcode.(a) tcode.(b)) order;
-    let j = ref 0 in
-    while !j < n do
-      let t = tcode.(order.(!j)) and a = !j in
-      while !j < n && tcode.(order.(!j)) = t do
-        incr j
-      done;
-      codes.(!n_stamps) <- t;
-      starts.(!n_stamps) <- a;
-      incr n_stamps;
-      if !j - a > !busiest then busiest := !j - a
-    done
-  end;
-  starts.(!n_stamps) <- n;
-  let epoch = s.epoch in
-  s.epoch <- epoch + !n_stamps + 1;
-  (!n_stamps, !busiest, epoch)
-
-(* Whether two instances of one stamp share a PE. *)
-let conflicting (s : scratch) ~n_stamps ~epoch : bool =
-  let pe_mark = s.pe_mark and pkey = s.pkey and order = s.order in
-  let found = ref false and st = ref 0 in
-  while (not !found) && !st < n_stamps do
-    let mark = epoch + !st in
-    for j = s.starts.(!st) to s.starts.(!st + 1) - 1 do
-      let p = pkey.(order.(j)) + 1 in
-      if pe_mark.(p) = mark then found := true else pe_mark.(p) <- mark
-    done;
-    incr st
-  done;
-  !found
 
 (* ------------------------------------------------------------------ *)
 (* Cheap time-only profile (DSE dominance bounds).                     *)
@@ -656,11 +668,11 @@ let time_profile (ctx : ctx) (df : Df.Dataflow.t) : profile =
   Obs.incr c_profiles;
   check_size ctx df;
   let c = compile ctx.x_op df in
-  with_scratch ctx @@ fun s ->
-  let n_stamps, _, epoch = order_stamps ctx s c in
+  with_pool @@ fun pool ->
+  let st = order_stamps pool c ~pe_base:ctx.x_pe_base ~n:ctx.x_n_instances in
   {
-    p_timestamps = max 1 n_stamps;
-    p_conflict = conflicting s ~n_stamps ~epoch;
+    p_timestamps = max 1 st.n_stamps;
+    p_conflict = conflicting pool st ~pe_size:ctx.x_pe_size;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -698,50 +710,51 @@ let analyze_in (ctx : ctx) (df : Df.Dataflow.t) : Metrics.t =
       (Df.Dataflow.space_bounds op df)
   end;
   let c = compile op df in
-  with_scratch ctx @@ fun s ->
-  let n_stamps, busiest, epoch =
-    Obs.with_span "concrete.bucket" (fun () -> order_stamps ctx s c)
+  with_pool @@ fun pool ->
+  let st =
+    Obs.with_span "concrete.bucket" (fun () ->
+        order_stamps pool c ~pe_base:ctx.x_pe_base ~n:ctx.x_n_instances)
   in
   Obs.add c_instances ctx.x_n_instances;
-  if validate && conflicting s ~n_stamps ~epoch then
-    raise
-      (Invalid_dataflow
-         (Printf.sprintf "%s: two instances share a spacetime-stamp"
-            df.Df.Dataflow.name));
+  if validate then check_conflicts pool st ~pe_size:ctx.x_pe_size df;
+  let n_stamps = st.n_stamps and busiest = st.busiest and epoch = st.epoch in
   let n_tensors = ctx.x_n_tensors and fspace = ctx.x_fspace in
+  let dt_spatial = ctx.x_dt_spatial in
+  (* pass 2's tables: the pool's arrays when direct, else hash tables *)
   let direct = ctx.x_use_direct in
-  if not direct then begin
-    Obs.incr c_hashed_walks;
-    Hashtbl.reset s.last_h;
-    Hashtbl.reset s.same_h;
-    Hashtbl.reset s.seen_h
-  end;
+  let table used slot len = if used then take pool slot len else [||] in
+  let last = table direct sl_last ctx.x_kspace in
+  let same = table (direct && dt_spatial = 0) sl_same ctx.x_kspace in
+  let seen = table direct sl_seen (n_tensors * fspace) in
+  let hashed () = Hashtbl.create (if direct then 1 else 4096) in
+  let last_h = hashed () and same_h = hashed () and seen_h = hashed () in
+  if not direct then Obs.incr c_hashed_walks;
   (* the per-instance element codes: the context's needs table, indexed
      by instance code, or this stamp's decoded codes, indexed by slot *)
   let shared, need_offs, need_codes =
     match ctx.x_needs with
     | Some (offs, codes) -> (true, offs, codes)
     | None ->
-        if busiest > s.rows then begin
-          s.rows <- busiest;
-          s.buf <-
-            Array.map
-              (fun fs -> Array.make (busiest * Array.length fs) 0)
-              ctx.x_fenc_evals;
-          s.boffs <- Array.map (fun _ -> Array.make (busiest + 1) 0) s.buf
-        end;
-        (false, s.boffs, s.buf)
+        let offs =
+          Array.init n_tensors (fun ti ->
+              take pool (sl_stamp_buf + (2 * ti) + 1) (busiest + 1))
+        in
+        Array.iter (fun o -> o.(0) <- 0) offs;
+        ( false,
+          offs,
+          Array.mapi
+            (fun ti fs ->
+              take pool (sl_stamp_buf + (2 * ti)) (busiest * Array.length fs))
+            ctx.x_fenc_evals )
   in
   let m = Array.length c.time_evals in
   let inner_ext = if m = 0 then 1 else snd c.time_base.(m - 1) in
   let inner = ctx.x_adjacency = `Inner_step in
-  let dt_spatial = ctx.x_dt_spatial in
   let bandwidth = spec.Arch.Spec.bandwidth in
   let pred_off = ctx.x_pred_off and pred_pes = ctx.x_pred_pes in
   let n_pred_rows = Array.length pred_off - 1 in
-  let order = s.order and pkey = s.pkey and codes = s.codes in
-  let last = s.last and same = s.same and seen = s.seen in
-  let last_h = s.last_h and same_h = s.same_h and seen_h = s.seen_h in
+  let order = st.order and pkey = st.pkey in
+  let codes = st.codes and starts = st.starts in
   let footprint_mark = epoch + n_stamps in
   let totals = Array.make n_tensors 0 in
   let reuse_t = Array.make n_tensors 0 in
@@ -752,9 +765,9 @@ let analyze_in (ctx : ctx) (df : Df.Dataflow.t) : Metrics.t =
      against the last time this PE (temporal window) or a predecessor PE
      (spatial, exact interconnect latency) touched it *)
   Obs.with_span "concrete.walk" (fun () ->
-      for st = 0 to n_stamps - 1 do
-        let tcode = codes.(st) and mark = epoch + st in
-        let first = s.starts.(st) and stop = s.starts.(st + 1) in
+      for s = 0 to n_stamps - 1 do
+        let tcode = codes.(s) and mark = epoch + s in
+        let first = starts.(s) and stop = starts.(s + 1) in
         (* the j-th instance of the run is row [if shared then order.(j)
            else j - first] of need_offs *)
         if not shared then

@@ -9,7 +9,9 @@
    It shares with the analytical models ({!Tenet_model.Concrete}) the IR,
    the iteration of the instance box, the mixed-radix encodings of
    stamps, PEs and tensor elements, the staged subscript and stamp
-   evaluators, and the interconnect predecessor table.  It shares none
+   evaluators, the interconnect predecessor table, and pass 1 (the
+   instances ordered into per-stamp runs, and the conflict check) on the
+   per-domain scratch pool.  It shares none
    of their semantics: no reuse channels, window or transfer
    attribution, counting, metric formulas, or the capacity checker's
    attribution.  The machine below decides every fetch, transfer and
@@ -110,50 +112,19 @@ let run ?(window = 1) ?trace (spec : Arch.Spec.t) (op : Ir.Tensor_op.t)
   | Some msg -> raise (C.Invalid_dataflow msg)
   | None -> ());
   let c = C.compile op df in
+  let n = C.instance_count op in
   let pe_base = Array.map (fun d -> (0, d)) (Arch.Pe_array.dims pe) in
   let pe_size = Arch.Pe_array.size pe in
-  let r = Df.Dataflow.n_space df and m = Df.Dataflow.n_time df in
-  let p_scratch = Array.make r 0 and t_scratch = Array.make m 0 in
-  (* bucket instances by time-stamp, newest first; the walk visits
-     instance codes 0, 1, 2, ... in turn *)
-  let n = Array.fold_left (fun a (_, e) -> a * max 0 e) 1 c.C.iters in
-  let pe_of_inst = Array.make n 0 in
-  let buckets : (int, int list ref) Hashtbl.t = Hashtbl.create 4096 in
-  let tcodes = ref [] in
-  let next = ref 0 in
-  C.iter_instances c (fun () ->
-      C.eval_staged c c.C.space_evals p_scratch;
-      C.eval_staged c c.C.time_evals t_scratch;
-      let tcode = C.encode c.C.time_base t_scratch in
-      let i = !next in
-      pe_of_inst.(i) <- C.encode pe_base p_scratch;
-      (match Hashtbl.find buckets tcode with
-      | l -> l := i :: !l
-      | exception Not_found ->
-          Hashtbl.add buckets tcode (ref [ i ]);
-          tcodes := tcode :: !tcodes);
-      next := i + 1);
-  (* lexicographic stamp order = ascending mixed-radix code *)
-  let order = Array.of_list !tcodes in
-  Array.sort Int.compare order;
-  let stamps = Array.map (fun t -> !(Hashtbl.find buckets t)) order in
-  let n_stamps = Array.length stamps in
-  (* one MAC per PE: a PE busy twice in one stamp is a Θ conflict *)
+  C.with_pool @@ fun pool ->
+  (* the concrete engine's pass 1: instances in stamp order (ascending
+     mixed-radix code = lexicographic), each stamp's run in instance
+     order; one MAC per PE, so a PE busy twice in one stamp is a Θ
+     conflict *)
+  let st = C.order_stamps pool c ~pe_base ~n in
+  C.check_conflicts pool st ~pe_size df;
+  let n_stamps = st.C.n_stamps in
+  let order = st.C.order and starts = st.C.starts and pkey = st.C.pkey in
   let act_stamp = Array.make pe_size (-1) in
-  Array.iteri
-    (fun k insts ->
-      List.iter
-        (fun i ->
-          let p = pe_of_inst.(i) in
-          if act_stamp.(p) = k then
-            raise
-              (C.Invalid_dataflow
-                 (Printf.sprintf "%s: two instances share a spacetime-stamp"
-                    df.Df.Dataflow.name));
-          act_stamp.(p) <- k)
-        insts)
-    stamps;
-  Array.fill act_stamp 0 pe_size (-1);
   let interval = Arch.Interconnect.interval spec.Arch.Spec.topology in
   (* hop/wire predecessors per PE (lex-filtered for interval 0) *)
   let preds = C.pred_pe_keys spec in
@@ -289,34 +260,34 @@ let run ?(window = 1) ?trace (spec : Arch.Spec.t) (op : Ir.Tensor_op.t)
   let stamp_pe = Array.make pe_size 0 in
   for k = 0 to n_stamps - 1 do
     let tag = 2 * (k + 1) in
-    (* gather: every instance's element codes, in serving order *)
-    let nk = ref 0 and chip = ref 0 in
-    List.iter
-      (fun inst ->
-        let j = !nk and p = pe_of_inst.(inst) in
-        incr nk;
-        stamp_pe.(j) <- p;
-        act_stamp.(p) <- k;
-        act_slot.(p) <- j;
-        C.decode_iters c inst c.C.vals;
-        for ti = 0 to n_tensors - 1 do
-          let cap = caps.(ti) and buf = need.(ti) and fs = encs.(ti) in
-          let off = j * cap in
-          for a = 0 to cap - 1 do
-            buf.(off + a) <- fs.(a) c.C.vals
-          done;
-          let len = C.sort_uniq_span buf off cap in
-          need_len.(ti).(j) <- len;
-          let u = used.(ti) in
-          for e = off to off + len - 1 do
-            if mark_get u buf.(e) < tag then begin
-              mark_set u buf.(e) tag;
-              incr chip
-            end
-          done
-        done)
-      stamps.(k);
-    let nk = !nk in
+    (* gather: every instance's element codes, in serving order: the
+       run's newest instance first *)
+    let stop = starts.(k + 1) in
+    let nk = stop - starts.(k) and chip = ref 0 in
+    for j = 0 to nk - 1 do
+      let inst = order.(stop - 1 - j) in
+      let p = pkey.(inst) in
+      stamp_pe.(j) <- p;
+      act_stamp.(p) <- k;
+      act_slot.(p) <- j;
+      C.decode_iters c inst c.C.vals;
+      for ti = 0 to n_tensors - 1 do
+        let cap = caps.(ti) and buf = need.(ti) and fs = encs.(ti) in
+        let off = j * cap in
+        for a = 0 to cap - 1 do
+          buf.(off + a) <- fs.(a) c.C.vals
+        done;
+        let len = C.sort_uniq_span buf off cap in
+        need_len.(ti).(j) <- len;
+        let u = used.(ti) in
+        for e = off to off + len - 1 do
+          if mark_get u buf.(e) < tag then begin
+            mark_set u buf.(e) tag;
+            incr chip
+          end
+        done
+      done
+    done;
     if !chip > !peak_chip then peak_chip := !chip;
     let reads = ref 0 and writes = ref 0 in
     for j = 0 to nk - 1 do
@@ -450,7 +421,6 @@ let run ?(window = 1) ?trace (spec : Arch.Spec.t) (op : Ir.Tensor_op.t)
     !cycles
     + ((!final_writes + spec.Arch.Spec.bandwidth - 1)
       / spec.Arch.Spec.bandwidth);
-  let n_instances = Ir.Tensor_op.n_instances op in
   Obs.add c_stamps n_stamps;
   Obs.add c_fetches (Array.fold_left ( + ) 0 fetches);
   Obs.add c_writebacks (Array.fold_left ( + ) 0 writebacks);
@@ -458,10 +428,10 @@ let run ?(window = 1) ?trace (spec : Arch.Spec.t) (op : Ir.Tensor_op.t)
   {
     cycles = !cycles;
     busy_pe_cycles = n;
-    n_instances;
+    n_instances = n;
     pe_size;
     utilization =
-      float_of_int n_instances /. float_of_int (pe_size * max 1 !cycles);
+      float_of_int n /. float_of_int (pe_size * max 1 !cycles);
     traffic =
       Array.to_list
         (Array.mapi

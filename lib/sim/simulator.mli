@@ -10,10 +10,11 @@
     words/cycle and surplus shows up as stall cycles; output partial sums
     write back on eviction and reload when they return.
 
-    It shares the IR, iteration, mixed-radix encodings, staged evaluators
-    and the interconnect predecessor table with
-    {!Tenet_model.Concrete}, and none of the analytical models' reuse,
-    attribution, counting or metric logic. *)
+    It shares the IR, iteration, mixed-radix encodings, staged
+    evaluators, the interconnect predecessor table and pass 1 (stamp
+    order and the conflict check) with {!Tenet_model.Concrete}, and none
+    of the analytical models' reuse, attribution, counting or metric
+    logic. *)
 
 type tensor_traffic = {
   tensor : string;
@@ -60,8 +61,9 @@ val run :
     Raises {!Tenet_model.Concrete.Invalid_dataflow} before simulating
     when the space stamp's rank is not the PE array's or a space
     coordinate leaves the array (the texts of
-    {!Tenet_dataflow.Dataflow.space_violation}), and when two instances
-    share a spacetime-stamp. *)
+    {!Tenet_dataflow.Dataflow.space_violation}), when a time-stamp or
+    element code space or the instance count is past the int range,
+    and when two instances share a spacetime-stamp. *)
 
 val to_string : result -> string
 

@@ -263,8 +263,9 @@ echo "== engine CLI contract (tenet analyze/simulate on invalid dataflows) =="
 # leaves the array, or that puts two instances on one PE in one stamp
 # must fail up front with the analyze path's "invalid dataflow:" text:
 # never an index error, and never a result from aliased PEs.  So must a
-# time-stamp or tensor-element code space past the int range, in both
-# engines: such codes used to wrap into a wrong answer or a crash.
+# time-stamp or tensor-element code space or an instance count past the
+# int range, in both engines: such codes and counts used to wrap into a
+# wrong answer or a crash.
 engine_rejects() {
   cmd=$1
   shift
@@ -285,6 +286,10 @@ engine_rejects simulate --space 'i%8' --time 'i/8,j,k'
 engine_rejects simulate --sizes 16,8,8 --space 'i%16,j%8' --time 'i/16,j/8,k'
 engine_rejects simulate --arch systolic-64x1 --space 'i%8,j%8' --time 'i/8,j/8,k'
 engine_rejects simulate --sizes 8,8,8 --space 'i%8,j%8' --time 'j'
+engine_rejects simulate --sizes 1073741824,1073741824,8 --space 'i%8,j%8' \
+  --time 'i/8,j/8,k'
+engine_rejects analyze --kernel conv --sizes 8192,8192,8192,8192,128,128 \
+  --space 'k%8,c%8' --time 'k/8,c/8,ox,oy,rx,ry'
 wide_time="2147483648*k,2147483648*i,2147483648*j"
 cat >"$tmp_root/wide_element.c" <<'EOF_C'
 for (i = 0; i < 4; i++)

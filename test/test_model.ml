@@ -190,6 +190,53 @@ let test_wide_codes_refused () =
      int range"
     (fun () -> M.Concrete.analyze spec (wide_element_op ()) plain)
 
+(* An instance count past the int range is refused too: this conv has
+   2^66 instances, which used to wrap to 0, pass the enumeration cap and
+   crash the walk with an index error. *)
+let test_wrapping_instances_refused () =
+  let spec = Arch.Repository.find "tpu-8x8-systolic" in
+  let op =
+    Ir.Kernels.conv2d ~nk:8192 ~nc:8192 ~nox:8192 ~noy:8192 ~nrx:128 ~nry:128
+  in
+  let dims = Ir.Tensor_op.iter_names op in
+  let df =
+    Df.Dataflow.make ~name:"wrap"
+      ~space:(Isl.Parser.exprs ~dims "k%8,c%8")
+      ~time:(Isl.Parser.exprs ~dims "k/8,c/8,ox,oy,rx,ry")
+  in
+  let msg =
+    "instance space of 8192 x 8192 x 8192 x 8192 x 128 x 128 codes is past \
+     the int range"
+  in
+  refused "analyze, wrapping instances" msg (fun () ->
+      M.Concrete.analyze spec op df);
+  refused "context, wrapping instances" msg (fun () ->
+      M.Concrete.context spec op);
+  match Ir.Tensor_op.n_instances op with
+  | n -> Alcotest.failf "n_instances wrapped to %d" n
+  | exception Invalid_argument _ -> ()
+
+(* A loop whose upper bound lies below its lower bound runs no
+   instances, however far below: the count used to multiply the
+   negative extent in (-48 instances and a utilization of -0.75 here). *)
+let test_reversed_loop_counts_none () =
+  let op =
+    Ir.Cfront.parse
+      "for (i = 5; i < 2; i++) for (j = 0; j < 4; j++) for (k = 0; k < 4; \
+       k++) Y[i][j] += A[i][k] * B[k][j];"
+  in
+  let spec = Arch.Repository.find "systolic-64x1" in
+  let df =
+    Df.Dataflow.make ~name:"rev" ~space:Isl.Aff.[ Var "j" ]
+      ~time:Isl.Aff.[ Var "k" ]
+  in
+  check_int "Tensor_op.n_instances" 0 (Ir.Tensor_op.n_instances op);
+  let m = M.Concrete.analyze spec op df in
+  check_int "analyze n_instances" 0 m.M.Metrics.n_instances;
+  Alcotest.(check (float 0.)) "utilization" 0. m.M.Metrics.avg_utilization;
+  let r = Tenet.Sim.Simulator.run spec op df in
+  check_int "simulate n_instances" 0 r.Tenet.Sim.Simulator.n_instances
+
 (* ------------------------------------------------------------------ *)
 (* Engine equivalence: relational vs concrete on random dataflows.     *)
 (* ------------------------------------------------------------------ *)
@@ -557,6 +604,97 @@ let test_index_sort_matches_counting_sort () =
   (* one index sort per spread analysis and per spread profile *)
   check_int "index sorts" (2 * !n) (Tenet.Obs.value fallbacks - before)
 
+(* ------------------------------------------------------------------ *)
+(* The per-domain scratch pool.                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Calls of different sizes and kinds share one domain's pool, with a
+   major collection (which may reclaim the pool's arrays) between two of
+   them.  Each must give what it gives on a fresh domain, whose pool is
+   empty: a large analysis; a small one whose outermost time coordinate,
+   scaled by 1,000,003, takes the index sort (which must sort only the
+   first n cells of the longer pooled order array); one on the hashed
+   tables; a simulator run whose trace callback runs an analysis while
+   the simulator holds the pool (against the two run apart); and the
+   large one again. *)
+let test_pool_reuse () =
+  let module A = Isl.Aff in
+  let module Obs = Tenet.Obs in
+  let spec = Arch.Repository.find "tpu-8x8-systolic" in
+  let dims = [ "i"; "j"; "k" ] in
+  let df ?(scale = 1) name =
+    Df.Dataflow.make ~name
+      ~space:(Isl.Parser.exprs ~dims "i%8,j%8")
+      ~time:
+        (A.Mul (A.Int scale, A.Fdiv (A.Var "i", 8))
+        :: Isl.Parser.exprs ~dims "j/8,k")
+  in
+  let small = Ir.Kernels.gemm ~ni:16 ~nj:16 ~nk:8 in
+  let large () =
+    outcome (fun () ->
+        M.Concrete.analyze spec (Ir.Kernels.gemm ~ni:64 ~nj:64 ~nk:64)
+          (df "large"))
+  in
+  let sparse () =
+    outcome (fun () ->
+        M.Concrete.analyze ~window:2 ~adjacency:`Lex_step spec small
+          (df ~scale:1_000_003 "sparse"))
+  in
+  let hashed () =
+    outcome (fun () ->
+        M.Concrete.analyze ~validate:false ~adjacency:`Lex_step spec small
+          (df "hashed"))
+  in
+  (* the simulator with a trace callback that runs a smaller analysis,
+     which fits in the arrays the simulator holds, against the two run
+     apart *)
+  let inner () =
+    outcome (fun () ->
+        M.Concrete.analyze spec (Ir.Kernels.gemm ~ni:8 ~nj:8 ~nk:6)
+          (Df.Dataflow.make ~name:"inner"
+             ~space:(Isl.Parser.exprs ~dims "i,j")
+             ~time:(Isl.Parser.exprs ~dims "k")))
+  in
+  let simulate ~nested () =
+    let ran = ref "" in
+    let trace _ _ = if nested && !ran = "" then ran := inner () in
+    let r = Tenet.Sim.Simulator.run ~window:2 ~trace spec small (df "sim") in
+    Printf.sprintf "%s pe=%d chip=%d link=%d fan=%d | %s"
+      (Tenet.Sim.Simulator.to_string r)
+      r.Tenet.Sim.Simulator.peak_pe_live r.Tenet.Sim.Simulator.peak_chip_live
+      r.Tenet.Sim.Simulator.peak_link_load r.Tenet.Sim.Simulator.peak_fanout
+      (if nested then !ran else inner ())
+  in
+  let counted name f =
+    let c = Obs.counter name in
+    let before = Obs.value c in
+    Obs.enable ();
+    let r = Fun.protect ~finally:Obs.disable f in
+    (r, Obs.value c - before)
+  in
+  let steps =
+    [
+      ("large", large, large, None);
+      ("index sort", sparse, sparse, Some "concrete.sort_fallbacks");
+      ("hashed tables", hashed, hashed, Some "concrete.hashed_walks");
+      ("simulator", simulate ~nested:true, simulate ~nested:false, None);
+      ("large again", large, large, None);
+    ]
+  in
+  List.iteri
+    (fun i (what, f, fresh, counter) ->
+      if i = 2 then Gc.full_major ();
+      let got =
+        match counter with
+        | None -> f ()
+        | Some name ->
+            let got, n = counted name f in
+            check_int (what ^ ": " ^ name) 1 n;
+            got
+      in
+      Alcotest.(check string) what (Domain.join (Domain.spawn fresh)) got)
+    steps
+
 let test_concrete_zoo_golden () =
   let expected =
     In_channel.with_open_text "golden/concrete_zoo.txt" In_channel.input_all
@@ -610,6 +748,12 @@ let () =
             test_huge_op_guarded;
           Alcotest.test_case "wide code spaces refused" `Quick
             test_wide_codes_refused;
+          Alcotest.test_case "wrapping instance counts refused" `Quick
+            test_wrapping_instances_refused;
+          Alcotest.test_case "reversed loop counts no instances" `Quick
+            test_reversed_loop_counts_none;
+          Alcotest.test_case "pool reuse across call sizes" `Quick
+            test_pool_reuse;
         ] );
       ( "engine equivalence",
         List.map QCheck_alcotest.to_alcotest

@@ -134,11 +134,11 @@ let test_dse_deterministic () =
   Alcotest.(check bool) "nonempty" true (seq <> [])
 
 (* One Concrete.context scored from four domains at once: each walking
-   domain takes its own scratch record off the context's free list, and
-   every walk advances its record's epoch, so a result never depends on
-   which record served it or on what that record walked before -- a
-   conflicting (-t, last time coordinate dropped) dataflow included,
-   with validation on (it raises mid-call) and off (hashed tables). *)
+   domain works in its own scratch pool, and every walk advances its
+   pool's epoch, so a result never depends on which domain served it or
+   on what that domain walked before -- a conflicting (-t, last time
+   coordinate dropped) dataflow included, with validation on (it raises
+   mid-call) and off (hashed tables). *)
 let test_shared_context_concurrent () =
   let module Df = Tenet_dataflow.Dataflow in
   let op = Ir.Kernels.conv2d ~nk:3 ~nc:2 ~nox:4 ~noy:4 ~nrx:3 ~nry:3 in
@@ -191,6 +191,53 @@ let test_shared_context_concurrent () =
         seq)
     [ true; false ]
 
+(* One-shot analyses and simulator runs of mixed sizes on four domains
+   at once, each domain drawing every walk's arrays from its own pool,
+   give the sequential results. *)
+let test_pools_concurrent () =
+  let module Df = Tenet_dataflow.Dataflow in
+  let module Sim = Tenet_sim.Simulator in
+  let spec = Arch.Repository.find "tpu-8x8-systolic" in
+  let df =
+    let dims = [ "i"; "j"; "k" ] in
+    Df.make ~name:"ij"
+      ~space:(Tenet_isl.Parser.exprs ~dims "i%8,j%8")
+      ~time:(Tenet_isl.Parser.exprs ~dims "i/8,j/8,k")
+  in
+  let conflicting =
+    { df with Df.name = "ij -k"; time = [ List.hd df.Df.time ] }
+  in
+  let sizes = [ (16, 16, 8); (40, 24, 16); (8, 8, 4); (64, 32, 24) ] in
+  let jobs =
+    Array.of_list
+      (List.concat_map
+         (fun (ni, nj, nk) ->
+           let op = Ir.Kernels.gemm ~ni ~nj ~nk in
+           List.concat_map
+             (fun df -> [ (`Analyze, op, df); (`Simulate, op, df) ])
+             [ df; conflicting ])
+         (sizes @ List.rev sizes))
+  in
+  let run (kind, op, df) =
+    match kind with
+    | `Analyze -> (
+        match M.Concrete.analyze ~window:2 spec op df with
+        | m -> Tenet_obs.Json.to_string (M.Metrics.to_json m)
+        | exception M.Concrete.Invalid_dataflow msg -> msg)
+    | `Simulate -> (
+        match Sim.run ~window:2 spec op df with
+        | r ->
+            Printf.sprintf "%s pe=%d chip=%d" (Sim.to_string r)
+              r.Sim.peak_pe_live r.Sim.peak_chip_live
+        | exception M.Concrete.Invalid_dataflow msg -> msg)
+  in
+  let seq = Array.map run jobs in
+  let par = with_jobs 4 (fun () -> Parallel.map_array ~chunk:1 run jobs) in
+  Array.iteri
+    (fun i want ->
+      Alcotest.(check string) (Printf.sprintf "job %d" i) want par.(i))
+    seq
+
 let test_count_union_parallel_matches () =
   (* the per-disjunct union counting path must not depend on jobs *)
   let mk lo hi =
@@ -239,5 +286,7 @@ let () =
             test_count_union_parallel_matches;
           Alcotest.test_case "shared concrete context, jobs=4" `Quick
             test_shared_context_concurrent;
+          Alcotest.test_case "one-shot analyses and simulator runs, jobs=4"
+            `Quick test_pools_concurrent;
         ] );
     ]

@@ -773,7 +773,33 @@ let test_wide_codes_bad_request () =
       Api.Request.id = "wd";
       c_source = Some wide_c;
     }
-    elt_msg
+    elt_msg;
+  (* instance counts past the int range used to wrap (the conv's 2^66 to
+     0) and crash the walk with an index error, an internal error *)
+  expect "wrapping gemm"
+    {
+      (small_analyze ~id:"wg" ~sizes:[ 1073741824; 1073741824; 8 ] ()) with
+      Api.Request.space = "i%8,j%8";
+      time = "i/8,j/8,k";
+    }
+    "invalid dataflow: instance space of 1073741824 x 1073741824 x 8 codes \
+     is past the int range";
+  let conv_msg =
+    "invalid dataflow: instance space of 8192 x 8192 x 8192 x 8192 x 128 x \
+     128 codes is past the int range"
+  in
+  let conv cmd id =
+    {
+      (Api.Request.default cmd) with
+      Api.Request.id;
+      kernel = "conv";
+      sizes = [ 8192; 8192; 8192; 8192; 128; 128 ];
+      space = "k%8,c%8";
+      time = "k/8,c/8,ox,oy,rx,ry";
+    }
+  in
+  expect "wrapping conv" (conv Api.Request.Analyze "wc") conv_msg;
+  expect "wrapping conv dse" (conv Api.Request.Dse "wcd") conv_msg
 
 (* --- the pool: a raising task must not kill its worker --- *)
 

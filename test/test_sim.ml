@@ -237,6 +237,26 @@ let test_rejects_wide_codes () =
     "tensor Y: element space of 6442450948 x 6442450948 codes is past the \
      int range"
 
+(* So is an instance count past the int range: 2^30 x 2^30 x 8
+   instances used to wrap to 0 and index out of bounds. *)
+let test_rejects_wrapping_instances () =
+  let spec = Arch.Repository.find "tpu-8x8-systolic" in
+  let op = Ir.Kernels.gemm ~ni:1073741824 ~nj:1073741824 ~nk:8 in
+  let dims = Ir.Tensor_op.iter_names op in
+  let df =
+    Df.Dataflow.make ~name:"wrap"
+      ~space:(Tenet.Isl.Parser.exprs ~dims "i%8,j%8")
+      ~time:(Tenet.Isl.Parser.exprs ~dims "i/8,j/8,k")
+  in
+  match Sim.Simulator.run spec op df with
+  | _ -> Alcotest.fail "simulated"
+  | exception M.Concrete.Invalid_dataflow msg ->
+      Alcotest.(check string)
+        "wrapping instances"
+        "instance space of 1073741824 x 1073741824 x 8 codes is past the \
+         int range"
+        msg
+
 (* The simulator pinned over the zoo.  test/golden/sim_zoo.txt holds one
    line per run, recorded from the simulator before its int-code rewrite:
    every Checker.zoo_subjects (arch, dataflow) pair at small sizes, at
@@ -414,6 +434,8 @@ let () =
             test_mesh_vs_systolic_traffic;
           Alcotest.test_case "rejects invalid dataflows" `Quick
             test_rejects_invalid;
+          Alcotest.test_case "rejects wrapping instance counts" `Quick
+            test_rejects_wrapping_instances;
           Alcotest.test_case "rejects wide codes" `Quick
             test_rejects_wide_codes;
         ] );
