@@ -65,6 +65,56 @@ let test_sweep_clean () =
                (An.Diagnostic.to_string d)))
     results
 
+(* --- the checker pinned over the zoo -------------------------------- *)
+
+(* Each zoo dataflow with its last time coordinate dropped: stamps then
+   collide, so Θ is not injective. *)
+let drop_last_time (df : Df.Dataflow.t) : Df.Dataflow.t =
+  let n = Df.Dataflow.n_time df in
+  Df.Dataflow.make
+    ~name:(df.Df.Dataflow.name ^ " -t")
+    ~space:df.Df.Dataflow.space
+    ~time:(List.filteri (fun i _ -> i < n - 1) df.Df.Dataflow.time)
+
+(* Every zoo subject, then every one with its last time coordinate
+   dropped. *)
+let zoo_and_dropped () : An.Checker.subject list =
+  let zoo = An.Checker.zoo_subjects () in
+  zoo
+  @ List.map
+      (fun (s : An.Checker.subject) ->
+        { s with An.Checker.s_df = drop_last_time s.An.Checker.s_df })
+      zoo
+
+let report_line ((s : An.Checker.subject), ds) =
+  Printf.sprintf "%s | %s | %s | %s" s.An.Checker.s_arch
+    s.An.Checker.s_kernel s.An.Checker.s_df.Df.Dataflow.name
+    (Tenet.Obs.Json.to_string
+       (Tenet.Obs.Json.List (List.map An.Diagnostic.to_json ds)))
+
+(* test/golden/check_zoo.txt was recorded from the checker before its
+   per-architecture memo and its injectivity shortcut: one line per
+   subject of [zoo_and_dropped] with the full report (code, severity,
+   message, witness).  Every dropped variant conflicts, so the golden
+   pins the TN003 texts and witnesses of the counting path.  On a
+   mismatch the recomputed lines are written to check_zoo.actual.txt in
+   the test's working directory. *)
+let test_check_zoo_golden () =
+  let expected =
+    In_channel.with_open_text "golden/check_zoo.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let got =
+    List.map report_line (An.Checker.check_subjects (zoo_and_dropped ()))
+  in
+  if got <> expected then
+    Out_channel.with_open_text "check_zoo.actual.txt" (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) got);
+  check_int "golden lines" (List.length expected) (List.length got);
+  List.iter2 (fun want l -> Alcotest.(check string) "pinned line" want l)
+    expected got
+
 (* --- TN001: rank mismatch ----------------------------------------- *)
 
 let test_tn001_rank () =
@@ -628,6 +678,7 @@ let () =
           Alcotest.test_case "zoo x repository clean" `Quick test_sweep_clean;
           Alcotest.test_case "builtin archs clean" `Quick
             test_builtin_archs_clean;
+          Alcotest.test_case "zoo pin" `Quick test_check_zoo_golden;
         ] );
       ( "negative",
         [
