@@ -18,9 +18,14 @@
    - lints: empty domains, unused iterators, unknown iterators,
      degenerate space coordinates (TN007-TN010).
 
-   All checks are relational — violating sets are built with the same
+   Every finding is relational — violating sets are built with the same
    [Isl] algebra the model itself uses, and witnesses are sampled from
-   them — so the checker cannot drift from the model's semantics. *)
+   them — so the checker cannot drift from the model's semantics.  Two
+   shortcuts keep a check cheap without changing any report: TN003 first
+   tries [Dataflow.injective_by_construction], a sound certificate read
+   off the stamp expressions, and counts Θ only when it fails; TN005's
+   findings and TN006's suspect PE pairs depend on the architecture
+   alone, so they are computed once per (topology, PE dims). *)
 
 module Isl = Tenet_isl
 module Ir = Tenet_ir
@@ -31,6 +36,8 @@ module Obs = Tenet_obs
 module D = Diagnostic
 
 let c_checks = Obs.counter "analysis.checks"
+let c_certified = Obs.counter "analysis.conflicts_certified"
+let c_counted = Obs.counter "analysis.conflicts_counted"
 
 let fmt_point (p : int array) =
   String.concat ", " (Array.to_list (Array.map string_of_int p))
@@ -161,9 +168,13 @@ let check_bounds ?(want_witness = true) (op : Ir.Tensor_op.t)
       ]
 
 (* TN003: Θ injectivity on the iteration domain, with a sampled
-   conflicting instance pair. *)
+   conflicting instance pair.  A Θ the certificate proves injective has
+   no conflict, so only an uncertified Θ is counted. *)
 let check_conflicts (op : Ir.Tensor_op.t) (df : Df.Dataflow.t) : D.t list =
-  match Df.Dataflow.conflict_counts op df with
+  let certified = Df.Dataflow.injective_by_construction op df in
+  Obs.incr (if certified then c_certified else c_counted);
+  let conflict = if certified then None else Df.Dataflow.conflict_counts op df in
+  match conflict with
   | None -> []
   | Some (pairs, stamps) ->
       let witness =
@@ -378,9 +389,9 @@ let pair_witness (m : Isl.Map.t) ~(note : string) : D.witness option =
         p)
     (Isl.Set.sample (Isl.Map.wrap m))
 
-(* Structural check of the architecture alone. *)
-let check_arch (spec : Arch.Spec.t) : D.t list =
-  let pe = spec.Arch.Spec.pe and topo = spec.Arch.Spec.topology in
+(* TN005: structural well-formedness of the PE array's interconnect. *)
+let arch_diagnostics (pe : Arch.Pe_array.t) (topo : Arch.Interconnect.t) :
+    D.t list =
   match Arch.Interconnect.relation topo pe with
   | exception Invalid_argument msg -> [ D.make "TN005" msg ]
   | rel ->
@@ -434,64 +445,107 @@ let check_arch (spec : Arch.Spec.t) : D.t list =
         (match oob with [] -> [] | dg :: _ -> [ dg ]) @ selfs
       end
 
+(* TN006's suspects: the PE pairs of the relation the volume model
+   credits spatial reuse along that no wire can carry — self-loops and
+   pairs with an endpoint outside the array, which only a malformed
+   (custom) topology produces.  [None] when every such piece is empty,
+   or when the relation is invalid or either side has the wrong rank
+   (TN005 reports those). *)
+let reuse_suspects (pe : Arch.Pe_array.t) (topo : Arch.Interconnect.t) :
+    Isl.Map.t option =
+  let r = Arch.Pe_array.rank pe in
+  match Df.Spacetime.reuse_pe_relation pe topo with
+  | exception Invalid_argument _ -> None
+  | rel when Isl.Map.n_in rel <> r || Isl.Map.n_out rel <> r -> None
+  | rel -> (
+      match
+        List.filter
+          (fun m -> not (Isl.Map.is_empty m))
+          (self_loop_piece rel :: oob_pieces rel (Arch.Pe_array.dims pe))
+      with
+      | [] -> None
+      | suspects -> Some (Isl.Map.union_all suspects))
+
+(* What a check needs of the architecture alone. *)
+type arch_facts = { tn005 : D.t list; suspects : Isl.Map.t option }
+
+(* Memoized per (topology, PE-array dims), as [Concrete.pred_pe_keys] is:
+   rebuilding the interconnect relation and testing each of its pieces
+   for emptiness cost more than the rest of a check.  The key is
+   structural, so a re-parsed [Custom] relation finds its entry.
+   The table is mutex-guarded (checks run on the parallel work pool) and
+   its values are never mutated after construction.  Serve resolves only
+   repository architectures, so its table stays that small. *)
+let arch_memo : (Arch.Interconnect.t * int array, arch_facts) Hashtbl.t =
+  Hashtbl.create 16
+
+let arch_memo_mutex = Mutex.create ()
+
+let arch_facts (spec : Arch.Spec.t) : arch_facts =
+  let pe = spec.Arch.Spec.pe and topo = spec.Arch.Spec.topology in
+  let key = (topo, Arch.Pe_array.dims pe) in
+  Mutex.lock arch_memo_mutex;
+  let cached = Hashtbl.find_opt arch_memo key in
+  Mutex.unlock arch_memo_mutex;
+  match cached with
+  | Some f ->
+      (* a remembered finding is still emitted: bump its code's counter
+         as [D.make] did when it was built *)
+      List.iter (fun d -> Obs.count ("analysis." ^ d.D.code)) f.tn005;
+      f
+  | None ->
+      let f =
+        { tn005 = arch_diagnostics pe topo; suspects = reuse_suspects pe topo }
+      in
+      Mutex.lock arch_memo_mutex;
+      if not (Hashtbl.mem arch_memo key) then Hashtbl.add arch_memo key f;
+      Mutex.unlock arch_memo_mutex;
+      f
+
+(* Structural check of the architecture alone. *)
+let check_arch (spec : Arch.Spec.t) : D.t list = (arch_facts spec).tn005
+
 (* ------------------------------------------------------------------ *)
 (* Reuse feasibility (TN006).                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* The volume model credits spatial reuse along
-   [Spacetime.reuse_pe_relation] lifted to spacetime.  Suspect pairs —
-   self-loops and pairs with an endpoint outside the array, which only a
-   malformed (custom) topology produces — are lifted through the *same*
-   construction, and any (stamp, element) reuse pair the model would
-   credit along them is a phantom: no wire carries it.  For well-formed
-   topologies every suspect piece is empty and the check costs a few
-   emptiness tests. *)
-let check_reuse_feasibility ?(adjacency = `Inner_step) (spec : Arch.Spec.t)
-    (op : Ir.Tensor_op.t) (df : Df.Dataflow.t) : D.t list =
-  let pe = spec.Arch.Spec.pe and topo = spec.Arch.Spec.topology in
-  match Df.Spacetime.reuse_pe_relation pe topo with
-  | exception Invalid_argument _ -> [] (* TN005 already reported *)
-  | rel ->
-      if Isl.Map.n_in rel <> Arch.Pe_array.rank pe then []
-      else begin
-        let dims = Arch.Pe_array.dims pe in
-        let suspects =
-          List.filter
-            (fun m -> not (Isl.Map.is_empty m))
-            (self_loop_piece rel :: oob_pieces rel dims)
-        in
-        if suspects = [] then []
-        else begin
-          let bad_rel = Isl.Map.union_all suspects in
-          let dt = Arch.Interconnect.interval topo in
-          let ch =
-            Df.Spacetime.spatial_of_rel ~adjacency op df ~rel:bad_rel ~dt
+   [Spacetime.reuse_pe_relation] lifted to spacetime.  The suspect pairs
+   are lifted through the *same* construction, and any (stamp, element)
+   reuse pair the model would credit along them is a phantom: no wire
+   carries it.  Well-formed topologies have no suspects, so the op is
+   lifted only for a malformed one. *)
+let check_reuse_feasibility ~adjacency (facts : arch_facts)
+    (spec : Arch.Spec.t) (op : Ir.Tensor_op.t) (df : Df.Dataflow.t) :
+    D.t list =
+  match facts.suspects with
+  | None -> []
+  | Some bad_rel ->
+      let dt = Arch.Interconnect.interval spec.Arch.Spec.topology in
+      let ch = Df.Spacetime.spatial_of_rel ~adjacency op df ~rel:bad_rel ~dt in
+      List.concat_map
+        (fun tensor ->
+          let a = Df.Dataflow.data_assignment op df tensor in
+          let credited =
+            M.Volumes.reuse_map ~assignment:a ~m:ch.Df.Spacetime.m
           in
-          List.concat_map
-            (fun tensor ->
-              let a = Df.Dataflow.data_assignment op df tensor in
-              let credited =
-                M.Volumes.reuse_map ~assignment:a ~m:ch.Df.Spacetime.m
-              in
-              let n = Isl.Map.card credited in
-              if n = 0 then []
-              else
-                [
-                  D.make "TN006"
-                    ?witness:
-                      (pair_witness credited
-                         ~note:
-                           "(stamp, element) reuse pair riding an \
-                            infeasible PE pair")
-                    (Printf.sprintf
-                       "%s: tensor %s has %d spatial-reuse pair(s) \
-                        credited along interconnect pairs no wire can \
-                        carry (self-loops or out-of-array endpoints)"
-                       df.Df.Dataflow.name tensor n);
-                ])
-            (Ir.Tensor_op.tensors op)
-        end
-      end
+          let n = Isl.Map.card credited in
+          if n = 0 then []
+          else
+            [
+              D.make "TN006"
+                ?witness:
+                  (pair_witness credited
+                     ~note:
+                       "(stamp, element) reuse pair riding an infeasible \
+                        PE pair")
+                (Printf.sprintf
+                   "%s: tensor %s has %d spatial-reuse pair(s) credited \
+                    along interconnect pairs no wire can carry \
+                    (self-loops or out-of-array endpoints)"
+                   df.Df.Dataflow.name tensor n);
+            ])
+        (Ir.Tensor_op.tensors op)
 
 (* ------------------------------------------------------------------ *)
 (* Counting sanitizer (TN012).                                         *)
@@ -535,10 +589,11 @@ let check ?(adjacency = `Inner_step) (spec : Arch.Spec.t)
   if D.errors lints <> [] then sorted lints
   else begin
     let empty_domain = check_domain op in
+    let facts = arch_facts spec in
     let base =
       lints @ empty_domain
       @ check_unused_iterators op df
-      @ check_arch spec @ check_rank df pe
+      @ facts.tn005 @ check_rank df pe
     in
     (* An empty domain makes the interval and counting checks vacuous
        (and their bound arithmetic meaningless), so stop at the lints. *)
@@ -553,7 +608,7 @@ let check ?(adjacency = `Inner_step) (spec : Arch.Spec.t)
       (* Reuse feasibility presumes stamps inside the array. *)
       let base =
         if bounds = [] then
-          base @ check_reuse_feasibility ~adjacency spec op df
+          base @ check_reuse_feasibility ~adjacency facts spec op df
         else base
       in
       (* Resource feasibility (TN014-TN018) presumes a structurally

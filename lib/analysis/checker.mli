@@ -47,7 +47,8 @@ val check_theta_map : Tenet_isl.Map.t -> D.t list
 
 val check_arch : Tenet_arch.Spec.t -> D.t list
 (** Structural well-formedness of the architecture alone (TN005):
-    interconnect rank, endpoint containment, self-loop wires. *)
+    interconnect rank, endpoint containment, self-loop wires.  Computed
+    once per (topology, PE dims) and remembered, as {!check} does. *)
 
 val with_count_verify : (unit -> 'a) -> ('a, D.t) result
 (** Run [f] with the {!Tenet_isl.Count} sanitizer armed (as if

@@ -49,6 +49,10 @@ let analyze ?(adjacency = `Inner_step) ?(validate = true)
   Obs.with_span ~args:[ ("dataflow", df.Df.Dataflow.name) ] "model.analyze"
   @@ fun () ->
   Obs.incr c_relational;
+  (* refuse an instance space past the int range before any relation is
+     built: its counts would wrap, and walking its pairs would not end *)
+  (try ignore (Concrete.instance_count op)
+   with Concrete.Invalid_dataflow msg -> raise (Invalid_dataflow msg));
   if validate then begin
     match Df.Dataflow.first_violation op df spec.Arch.Spec.pe with
     | None -> ()

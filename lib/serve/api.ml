@@ -1126,6 +1126,8 @@ let run_volumes ~token (r : Request.t) : Response.body =
   let op = op_of r in
   let spec = arch_of r in
   let df = dataflow_of r op in
+  (* volumes past the int range would wrap: refuse as the engines do *)
+  ignore (M.Concrete.instance_count op);
   let all = Ir.Tensor_op.tensors op in
   let wanted =
     match r.Request.tensors with

@@ -18,6 +18,9 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
+tmp_root=$(mktemp -d)
+trap 'rm -rf "$tmp_root"' EXIT
+
 echo "== model checker sweep (tenet check --all) =="
 # Every Table III dataflow on every matching-rank repository
 # architecture must check clean; the command exits nonzero on any
@@ -31,6 +34,37 @@ echo "== capacity sweep (tenet check --all --capacities) =="
 # not just structurally valid.
 dune exec -- tenet check --all --capacities --json \
   | grep -q '"failing": 0' || { echo "capacity sweep failed"; exit 1; }
+
+echo "== checker work (tenet check --all --stats) =="
+# The sweep's work counters are deterministic.  Each of the 75 checks
+# decides TN003 once: the injectivity certificate settles 71 subjects
+# without counting, and the Eyeriss and MAERI stamps (4 subjects) are
+# counted.  With the per-architecture memo, the whole sweep makes at
+# most 286 basic-set queries (5,742 before the memo and the
+# certificate).
+check_work() {
+  awk '
+    /"analysis\.checks":/ { checks = $2 + 0 }
+    /"analysis\.conflicts_certified":/ { certified = $2 + 0 }
+    /"analysis\.conflicts_counted":/ { counted = $2 + 0 }
+    /"count\.bset_calls":/ { bset = $2 + 0 }
+    END {
+      if (checks != 75 || certified != 71 || counted != 4) {
+        printf "checker work: %d checks, %d certified, %d counted \
+(want 75, 71, 4)\n", checks, certified, counted
+        exit 1
+      }
+      if (bset > 286) {
+        printf "checker work: %d basic-set queries (want at most 286)\n", bset
+        exit 1
+      }
+      printf "checker work: %d checks, %d certified, %d counted, %d \
+basic-set queries\n", checks, certified, counted, bset
+    }' "$1"
+}
+dune exec -- tenet check --all --json --stats "$tmp_root/check_stats.json" \
+  >/dev/null
+check_work "$tmp_root/check_stats.json"
 
 echo "== serve protocol golden (tenet batch --jobs 4, 10 runs) =="
 # 50+ mixed requests (analyze/volumes/dse/check, duplicates for the
@@ -70,8 +104,6 @@ echo "== serve observability (live scrape, prometheus lint) =="
 # counter is monotonic and the latency histogram has nonzero quantiles,
 # then lint the Prometheus exposition (HELP/TYPE coverage, cumulative
 # bucket monotonicity, +Inf == _count) from a third scrape.
-tmp_root=$(mktemp -d)
-trap 'rm -rf "$tmp_root"' EXIT
 obs_dir="$tmp_root/obs"
 mkdir -p "$obs_dir"
 mkfifo "$obs_dir/in"

@@ -49,6 +49,8 @@ let custom_spec ~n ~rel ~interval =
     ~topology:(Arch.Interconnect.Custom { rel; interval })
     ~bandwidth:64 ()
 
+let gemm8 () = Ir.Kernels.gemm ~ni:8 ~nj:8 ~nk:8
+
 (* --- the positive sweep ------------------------------------------- *)
 
 let test_sweep_clean () =
@@ -92,6 +94,11 @@ let report_line ((s : An.Checker.subject), ds) =
     (Tenet.Obs.Json.to_string
        (Tenet.Obs.Json.List (List.map An.Diagnostic.to_json ds)))
 
+(* The reports of [zoo_and_dropped], computed once for the tests that
+   read them: the dropped variants' witness searches take most of a
+   minute. *)
+let zoo_reports = lazy (An.Checker.check_subjects (zoo_and_dropped ()))
+
 (* test/golden/check_zoo.txt was recorded from the checker before its
    per-architecture memo and its injectivity shortcut: one line per
    subject of [zoo_and_dropped] with the full report (code, severity,
@@ -105,15 +112,54 @@ let test_check_zoo_golden () =
     |> String.split_on_char '\n'
     |> List.filter (fun l -> l <> "")
   in
-  let got =
-    List.map report_line (An.Checker.check_subjects (zoo_and_dropped ()))
-  in
+  let got = List.map report_line (Lazy.force zoo_reports) in
   if got <> expected then
     Out_channel.with_open_text "check_zoo.actual.txt" (fun oc ->
         List.iter (fun l -> output_string oc (l ^ "\n")) got);
   check_int "golden lines" (List.length expected) (List.length got);
   List.iter2 (fun want l -> Alcotest.(check string) "pinned line" want l)
     expected got
+
+(* TN003 is reported exactly where counting finds a conflict: the
+   injectivity certificate that settles most subjects without counting
+   never hides one. *)
+let test_tn003_iff_conflict () =
+  let flagged =
+    List.filter
+      (fun ((s : An.Checker.subject), ds) ->
+        let reported = List.mem "TN003" (codes ds) in
+        check_bool
+          (report_line (s, ds) ^ ": TN003 iff conflict_counts")
+          (Df.Dataflow.conflict_counts s.An.Checker.s_op s.An.Checker.s_df
+          <> None)
+          reported;
+        reported)
+      (Lazy.force zoo_reports)
+  in
+  check_int "dropped variants flagged" 75 (List.length flagged)
+
+(* Four domains checking the zoo at once, racing to fill the
+   per-architecture memo (cold when this case runs first), each get the
+   sequential result.  The domains are joined, not pooled: idle pool
+   workers would slow every later collection of this process. *)
+let test_parallel_checks () =
+  let subjects = An.Checker.zoo_subjects () in
+  let reports () =
+    List.map
+      (fun (s : An.Checker.subject) ->
+        report_line
+          (s, An.Checker.check s.An.Checker.s_spec s.An.Checker.s_op
+                s.An.Checker.s_df))
+      subjects
+  in
+  let par = List.map Domain.join (List.init 4 (fun _ -> Domain.spawn reports)) in
+  let seq = reports () in
+  List.iteri
+    (fun i got ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "domain %d = sequential" i)
+        seq got)
+    par
 
 (* --- TN001: rank mismatch ----------------------------------------- *)
 
@@ -207,27 +253,70 @@ let test_tn004_causality () =
 
 (* --- TN005: malformed interconnect --------------------------------- *)
 
+(* The architecture's findings are remembered per (topology, PE dims):
+   a malformed-topology case runs twice, the second time on a re-parsed,
+   structurally equal relation, and must get the same report. *)
+let twice what (run : Isl.Map.t -> An.Diagnostic.t list) (text : string) =
+  let first = run (P.map text) in
+  Alcotest.(check (list string))
+    (what ^ ": same report on a second call")
+    (List.map An.Diagnostic.to_string first)
+    (List.map An.Diagnostic.to_string (run (P.map text)));
+  first
+
 let test_tn005_out_of_array () =
-  let rel = P.map "{ PE[i] -> PE[j] : 0 <= i < 8 and j = i + 4 }" in
-  let spec = custom_spec ~n:8 ~rel ~interval:1 in
-  let d = find_code "TN005" (An.Checker.check_arch spec) in
-  let w = witness_of d in
+  let ds =
+    twice "out of array"
+      (fun rel -> An.Checker.check_arch (custom_spec ~n:8 ~rel ~interval:1))
+      "{ PE[i] -> PE[j] : 0 <= i < 8 and j = i + 4 }"
+  in
+  let w = witness_of (find_code "TN005" ds) in
   (* the witness wire endpoint escapes the 8-wide array *)
   check_bool "endpoint escapes" true (w.An.Diagnostic.wpoint.(1) >= 8)
 
 let test_tn005_self_loop () =
-  let rel = P.map "{ PE[i] -> PE[j] : 0 <= i < 8 and j = i }" in
-  let spec = custom_spec ~n:8 ~rel ~interval:1 in
-  ignore (find_code "TN005" (An.Checker.check_arch spec))
+  ignore
+    (find_code "TN005"
+       (twice "self loop"
+          (fun rel ->
+            An.Checker.check_arch (custom_spec ~n:8 ~rel ~interval:1))
+          "{ PE[i] -> PE[j] : 0 <= i < 8 and j = i }"))
 
 let test_tn005_rank () =
-  let rel = P.map "{ PE[i] -> PE[j] : 0 <= i < 8 and j = i + 1 }" in
-  let spec =
+  let spec rel =
     Arch.Spec.make ~pe:(Arch.Pe_array.d2 8 8)
       ~topology:(Arch.Interconnect.Custom { rel; interval = 1 })
       ~bandwidth:64 ()
   in
-  ignore (find_code "TN005" (An.Checker.check_arch spec))
+  ignore
+    (find_code "TN005"
+       (twice "rank"
+          (fun rel -> An.Checker.check_arch (spec rel))
+          "{ PE[i] -> PE[j] : 0 <= i < 8 and j = i + 1 }"));
+  (* only the range has the wrong rank: the full battery must report it
+     without indexing the range past its dims *)
+  ignore
+    (find_code "TN005"
+       (twice "range rank"
+          (fun rel ->
+            An.Checker.check (spec rel) (gemm8 ()) (Df.Zoo.gemm_ij_p_ijk_t ()))
+          "{ PE[i, j] -> PE[k] : 0 <= i < 8 and 0 <= j < 8 and k = i }"))
+
+(* The memo's key holds the PE dims, not the topology alone: one
+   relation is malformed on 8 PEs and clean on 16, asked alternately. *)
+let test_tn005_keyed_by_dims () =
+  let text = "{ PE[i] -> PE[j] : 0 <= i < 8 and j = i + 4 }" in
+  let op = gemm8 () and df = Df.Zoo.gemm_k_p_ij_t ~p:8 () in
+  for round = 1 to 3 do
+    let on n = custom_spec ~n ~rel:(P.map text) ~interval:1 in
+    let what n = Printf.sprintf "round %d, %d PEs" round n in
+    ignore (find_code "TN005" (An.Checker.check_arch (on 8)));
+    ignore (find_code "TN005" (An.Checker.check (on 8) op df));
+    check_int (what 16 ^ ": check_arch") 0
+      (List.length (An.Checker.check_arch (on 16)));
+    check_bool (what 16 ^ ": check") false
+      (List.mem "TN005" (codes (An.Checker.check (on 16) op df)))
+  done
 
 let test_builtin_archs_clean () =
   List.iter
@@ -264,13 +353,15 @@ let test_tn006_phantom_reuse () =
           ]
       ()
   in
-  let rel = P.map "{ PE[p] -> PE[q] : 0 <= p < 1 and q = p }" in
-  let spec = custom_spec ~n:1 ~rel ~interval:2 in
   let df =
     Df.Dataflow.make ~name:"seq" ~space:[ Isl.Aff.Int 0 ]
       ~time:[ Isl.Aff.Var "i" ]
   in
-  let ds = An.Checker.check spec op df in
+  let ds =
+    twice "phantom reuse"
+      (fun rel -> An.Checker.check (custom_spec ~n:1 ~rel ~interval:2) op df)
+      "{ PE[p] -> PE[q] : 0 <= p < 1 and q = p }"
+  in
   let d = find_code "TN006" ds in
   ignore (witness_of d);
   (* the self-loop is also structurally malformed *)
@@ -460,8 +551,6 @@ let test_capacity_sweep_clean () =
                s.An.Checker.s_kernel s.An.Checker.s_df.Df.Dataflow.name
                (An.Diagnostic.to_string d)))
     (An.Checker.check_subjects subjects)
-
-let gemm8 () = Ir.Kernels.gemm ~ni:8 ~nj:8 ~nk:8
 
 let test_tn014_pe_regs () =
   let op = gemm8 () in
@@ -675,10 +764,14 @@ let () =
     [
       ( "sweep",
         [
+          (* first, so its domains fill the memo from cold *)
+          Alcotest.test_case "parallel checks" `Quick test_parallel_checks;
           Alcotest.test_case "zoo x repository clean" `Quick test_sweep_clean;
           Alcotest.test_case "builtin archs clean" `Quick
             test_builtin_archs_clean;
           Alcotest.test_case "zoo pin" `Quick test_check_zoo_golden;
+          Alcotest.test_case "TN003 iff conflict" `Quick
+            test_tn003_iff_conflict;
         ] );
       ( "negative",
         [
@@ -690,6 +783,8 @@ let () =
             test_tn005_out_of_array;
           Alcotest.test_case "TN005 self loop" `Quick test_tn005_self_loop;
           Alcotest.test_case "TN005 rank" `Quick test_tn005_rank;
+          Alcotest.test_case "TN005 keyed by dims" `Quick
+            test_tn005_keyed_by_dims;
           Alcotest.test_case "TN006 phantom reuse" `Quick
             test_tn006_phantom_reuse;
           Alcotest.test_case "TN007 empty domain" `Quick

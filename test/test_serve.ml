@@ -799,7 +799,13 @@ let test_wide_codes_bad_request () =
     }
   in
   expect "wrapping conv" (conv Api.Request.Analyze "wc") conv_msg;
-  expect "wrapping conv dse" (conv Api.Request.Dse "wcd") conv_msg
+  expect "wrapping conv dse" (conv Api.Request.Dse "wcd") conv_msg;
+  (* so do the relational paths: their counts would wrap, and walking
+     the 2^66 pairs would not end *)
+  expect "wrapping conv volumes" (conv Api.Request.Volumes "wcv") conv_msg;
+  expect "wrapping conv relational"
+    { (conv Api.Request.Analyze "wcr") with Api.Request.engine = `Relational }
+    conv_msg
 
 (* --- the pool: a raising task must not kill its worker --- *)
 
