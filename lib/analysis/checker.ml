@@ -471,36 +471,25 @@ type arch_facts = { tn005 : D.t list; suspects : Isl.Map.t option }
 
 (* Memoized per (topology, PE-array dims), as [Concrete.pred_pe_keys] is:
    rebuilding the interconnect relation and testing each of its pieces
-   for emptiness cost more than the rest of a check.  The key is
-   structural, so a re-parsed [Custom] relation finds its entry.
-   The table is mutex-guarded (checks run on the parallel work pool) and
-   its values are never mutated after construction.  Serve resolves only
-   repository architectures, so its table stays that small. *)
-let arch_memo : (Arch.Interconnect.t * int array, arch_facts) Hashtbl.t =
-  Hashtbl.create 16
+   for emptiness cost more than the rest of a check.  The values are
+   never mutated after construction. *)
+module Arch_memo = Tenet_util.Memo.Make (Arch.Spec.Array_key)
 
-let arch_memo_mutex = Mutex.create ()
+let arch_memo : arch_facts Arch_memo.t =
+  Arch_memo.create ~max_entries:Arch.Spec.array_memo_entries ()
 
 let arch_facts (spec : Arch.Spec.t) : arch_facts =
-  let pe = spec.Arch.Spec.pe and topo = spec.Arch.Spec.topology in
-  let key = (topo, Arch.Pe_array.dims pe) in
-  Mutex.lock arch_memo_mutex;
-  let cached = Hashtbl.find_opt arch_memo key in
-  Mutex.unlock arch_memo_mutex;
-  match cached with
+  let key = Arch.Spec.array_key spec in
+  match Arch_memo.find arch_memo key with
   | Some f ->
       (* a remembered finding is still emitted: bump its code's counter
          as [D.make] did when it was built *)
       List.iter (fun d -> Obs.count ("analysis." ^ d.D.code)) f.tn005;
       f
   | None ->
-      let f =
+      let pe = spec.Arch.Spec.pe and topo = spec.Arch.Spec.topology in
+      Arch_memo.add arch_memo key
         { tn005 = arch_diagnostics pe topo; suspects = reuse_suspects pe topo }
-      in
-      Mutex.lock arch_memo_mutex;
-      if not (Hashtbl.mem arch_memo key) then Hashtbl.add arch_memo key f;
-      Mutex.unlock arch_memo_mutex;
-      f
 
 (* Structural check of the architecture alone. *)
 let check_arch (spec : Arch.Spec.t) : D.t list = (arch_facts spec).tn005

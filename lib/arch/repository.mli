@@ -5,9 +5,7 @@
 val tpu_like : ?n:int -> ?bandwidth:int -> unit -> Spec.t
 val mesh_array : ?rows:int -> ?cols:int -> ?bandwidth:int -> unit -> Spec.t
 val eyeriss_like : ?rows:int -> ?cols:int -> ?bandwidth:int -> unit -> Spec.t
-val shidiannao_like : ?n:int -> ?bandwidth:int -> unit -> Spec.t
 val maeri_like : ?n:int -> ?bandwidth:int -> unit -> Spec.t
-val vector_multicast : ?n:int -> ?group:int -> ?bandwidth:int -> unit -> Spec.t
 val systolic_1d : ?n:int -> ?bandwidth:int -> unit -> Spec.t
 
 val all : (string * Spec.t) list

@@ -79,3 +79,16 @@ let to_string t =
     (Pe_array.to_string t.pe)
     (Interconnect.name t.topology)
     t.bandwidth
+
+module Array_key = struct
+  type t = Interconnect.t * int array
+
+  let equal : t -> t -> bool = ( = )
+  let hash : t -> int = Hashtbl.hash
+end
+
+let array_key t = (t.topology, Pe_array.dims t.pe)
+
+(* The repository has 7 architectures, serve names no others, and the
+   test suite's zoo sweeps reach 17. *)
+let array_memo_entries = 64

@@ -57,3 +57,14 @@ val has_capacities : t -> bool
     checks (TN014-TN018) are vacuous and TN019 lints. *)
 
 val to_string : t -> string
+
+(** The key of what depends only on a spec's topology and PE-array dims
+    (interconnect predecessors, architecture diagnostics).  Equality and
+    hashing are structural, so a re-parsed [Custom] relation finds the
+    entry of the one it repeats. *)
+module Array_key : Hashtbl.HashedType with type t = Interconnect.t * int array
+
+val array_key : t -> Array_key.t
+
+val array_memo_entries : int
+(** The bound of a memo table keyed by {!Array_key}. *)

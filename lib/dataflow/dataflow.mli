@@ -71,10 +71,6 @@ val injective_by_construction : Ir.Tensor_op.t -> t -> bool
     [false] proves nothing (the Eyeriss and MAERI stamps, which scale a
     [mod] term, are injective but not certified). *)
 
-val theta_primed : Ir.Tensor_op.t -> t -> Isl.Map.t
-(** Θ over a primed copy of the iteration space ([S\[i',j',...\]]), for
-    same-space relational checks. *)
-
 val conflict_witness :
   Ir.Tensor_op.t -> t -> (int array * int array * int array) option
 (** A concrete conflicting pair: [(n, n', shared stamp)] with [n] lex

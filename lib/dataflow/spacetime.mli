@@ -64,17 +64,3 @@ val spatial_of_rel :
 (** A spatial channel over an explicit PE relation at time step [dt],
     mirroring {!spatial}'s construction; used by the analysis checker to
     test which reuse a suspect subset of PE pairs would carry. *)
-
-(**/**)
-
-(* exposed for tests and the analysis checker *)
-val time_identity : int -> Isl.Bset.t
-val time_inner_step : m:int -> dt:int -> Isl.Bset.t list
-val time_lex_step : bounds:(int * int) list -> dt:int -> Isl.Bset.t list
-
-val time_step :
-  adjacency:adjacency -> bounds:(int * int) list -> dt:int -> Isl.Bset.t list
-
-val lift :
-  df:Dataflow.t -> Isl.Bset.t list -> Isl.Bset.t list -> Isl.Map.t
-(* [(PE rel) x (time rel)] lifted into [ST -> ST'] disjuncts. *)

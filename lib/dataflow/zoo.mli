@@ -65,7 +65,6 @@ val jacobi_all : ?p2:int -> ?p1:int -> unit -> Dataflow.t list
 (** {2 MMc} (iterators i, j, k, l) *)
 
 val mmc_ij_p_ijl_t : ?p:int -> unit -> Dataflow.t
-val mmc_kj_p_kjl_t : ?p:int -> unit -> Dataflow.t
 val mmc_all : ?p:int -> unit -> Dataflow.t list
 
 (** {2 Catalog} *)

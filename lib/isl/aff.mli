@@ -73,8 +73,6 @@ val lower : ctx -> lookup:(string -> int) -> t -> lin
 
 val lin_add : lin -> lin -> lin
 val lin_scale : int -> lin -> lin
-val lin_const : int -> lin
-val lin_var : int -> lin
 
 val to_bset : ctx -> eqs:lin list -> ges:lin list -> Bset.t
 (** Package lowered constraints ([eqs] = 0, [ges] >= 0) together with the

@@ -65,7 +65,6 @@ let c_fm = Obs.counter "count.fm_derivations"
 let c_dedup = Obs.counter "count.dedup_fallbacks"
 let c_cache_hits = Obs.counter "count.cache_hits"
 let c_cache_misses = Obs.counter "count.cache_misses"
-let c_cache_evictions = Obs.counter "count.cache_evictions"
 let c_verify_checks = Obs.counter "count.verify_checks"
 let c_verify_mismatches = Obs.counter "count.verify_mismatches"
 
@@ -76,8 +75,8 @@ let c_verify_mismatches = Obs.counter "count.verify_mismatches"
    but no symbolic chain) and the two must agree.  This is CI's soundness
    mode for the Barvinok-lite engine: a disagreement raises
    [Verify_mismatch] instead of silently propagating a wrong volume.
-   Verification happens at cache-fill time, so each distinct constraint
-   system is cross-checked once per cache epoch. *)
+   Verification happens when a count is memoized, so each distinct
+   constraint system is cross-checked once until [cache_clear]. *)
 
 exception Verify_mismatch of { fast : int; reference : int; set : string }
 
@@ -950,11 +949,13 @@ let count_with_plan cp plan =
 (* Keyed by the canonicalized compiled form (constraints sorted, dead   *)
 (* variables recorded), so any two basic sets that normalize to the     *)
 (* same constraint system share one entry regardless of how they were   *)
-(* built.  The cache is global, bounded (TENET_COUNT_CACHE entries;     *)
-(* 0/off disables) and mutex-guarded: it is shared by all domains of    *)
-(* the parallel work pool.  On overflow the whole table is dropped —    *)
-(* the working sets here are tiny compared to the bound, so an epoch    *)
-(* flush is simpler than LRU and near-free in practice.                 *)
+(* built.  Counts and emptiness verdicts live in two process-wide memo  *)
+(* tables shared by all domains of the parallel work pool.  A union's   *)
+(* cardinality is not memoized: inclusion-exclusion's terms are         *)
+(* basic-set counts, which are.  [memo_entries] is 14x the largest      *)
+(* working set measured (4,454 counts, test_count_oracle's random       *)
+(* sets; a benchmark round peaks at 462), so a full table's flush does  *)
+(* not fire in practice.                                                *)
 (* ------------------------------------------------------------------ *)
 
 module Ckey = struct
@@ -980,41 +981,11 @@ module Ckey = struct
     !h land max_int
 end
 
-module Ctbl = Hashtbl.Make (Ckey)
+module Cmemo = Tenet_util.Memo.Make (Ckey)
 
-module Ukey = struct
-  type t = Ckey.t array (* sorted: unions are order-insensitive *)
-
-  let equal (a : t) (b : t) = a = b
-  let hash (u : t) = Array.fold_left (fun h k -> (h * 131) + Ckey.hash k) 17 u
-end
-
-module Utbl = Hashtbl.Make (Ukey)
-
-type cache_entry = {
-  mutable e_card : int option;
-  mutable e_empty : bool option;
-  mutable e_tick : int; (* last touch, for sweep-friendly eviction *)
-}
-
-type union_entry = { u_card : int; mutable u_tick : int }
-
-let cache_bound =
-  match Sys.getenv_opt "TENET_COUNT_CACHE" with
-  | None | Some "" -> 65536
-  | Some ("0" | "off" | "none") -> 0
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n > 0 -> n
-      | _ -> 65536)
-
-let cache_mutex = Mutex.create ()
-let bset_cache : cache_entry Ctbl.t = Ctbl.create 1024
-let union_cache : union_entry Utbl.t = Utbl.create 256
-
-(* Touch clock for eviction decisions; guarded by [cache_mutex]. *)
-let cache_tick = ref 0
-let evict_floor = ref 0 (* clock value at the previous eviction *)
+let memo_entries = 65536
+let counts : int Cmemo.t = Cmemo.create ~max_entries:memo_entries ()
+let empties : bool Cmemo.t = Cmemo.create ~max_entries:memo_entries ()
 
 let key_of_compiled (cp : compiled) : Ckey.t =
   let cons = Array.map (fun c -> (c.eq, c.k, c.a)) cp.cons in
@@ -1026,88 +997,27 @@ let key_of_compiled (cp : compiled) : Ckey.t =
     k_cons = cons;
   }
 
-(* Room check shared by both tables; called with [cache_mutex] held.
-   Eviction is sweep-friendly: entries touched since the previous
-   eviction survive (a DSE sweep keeps re-counting the same basic sets
-   while entries from earlier subjects go cold), everything colder is
-   dropped.  Only when the hot set itself fills the bound does the
-   cache fall back to dropping everything. *)
-let make_room () =
-  if Ctbl.length bset_cache + Utbl.length union_cache >= cache_bound then begin
-    Obs.incr c_cache_evictions;
-    let floor = !evict_floor in
-    let keep_b = ref [] and keep_u = ref [] in
-    Ctbl.iter
-      (fun k e -> if e.e_tick > floor then keep_b := (k, e) :: !keep_b)
-      bset_cache;
-    Utbl.iter
-      (fun k e -> if e.u_tick > floor then keep_u := (k, e) :: !keep_u)
-      union_cache;
-    Ctbl.reset bset_cache;
-    Utbl.reset union_cache;
-    if List.length !keep_b + List.length !keep_u < cache_bound then begin
-      List.iter (fun (k, e) -> Ctbl.add bset_cache k e) !keep_b;
-      List.iter (fun (k, e) -> Utbl.add union_cache k e) !keep_u
-    end;
-    evict_floor := !cache_tick
-  end
-
-(* [probe ~get ~set cp compute]: consult the per-bset cache for the field
-   selected by [get]/[set], computing and filling on a miss.  [compute]
-   runs outside the lock (a racing duplicate computation is benign). *)
-let probe ~get ~set (cp : compiled) (compute : unit -> 'a) : 'a =
-  if cache_bound = 0 then compute ()
-  else begin
-    let key = key_of_compiled cp in
-    Mutex.lock cache_mutex;
-    let cached =
-      match Ctbl.find_opt bset_cache key with
-      | Some e ->
-          incr cache_tick;
-          e.e_tick <- !cache_tick;
-          get e
-      | None -> None
-    in
-    Mutex.unlock cache_mutex;
-    match cached with
-    | Some v ->
-        Obs.incr c_cache_hits;
-        v
-    | None ->
-        Obs.incr c_cache_misses;
-        let v = compute () in
-        Mutex.lock cache_mutex;
-        (match Ctbl.find_opt bset_cache key with
-        | Some e ->
-            incr cache_tick;
-            e.e_tick <- !cache_tick;
-            set e v
-        | None ->
-            make_room ();
-            incr cache_tick;
-            let e = { e_card = None; e_empty = None; e_tick = !cache_tick } in
-            set e v;
-            Ctbl.add bset_cache key e);
-        Mutex.unlock cache_mutex;
-        v
-  end
+(* [probe memo cp compute]: the memoized value of [cp], computed outside
+   the lock on a miss (a racing duplicate computation is benign). *)
+let probe memo (cp : compiled) (compute : unit -> 'a) : 'a =
+  let key = key_of_compiled cp in
+  match Cmemo.find memo key with
+  | Some v ->
+      Obs.incr c_cache_hits;
+      v
+  | None ->
+      Obs.incr c_cache_misses;
+      Cmemo.add memo key (compute ())
 
 let cache_clear () =
-  Mutex.lock cache_mutex;
-  Ctbl.reset bset_cache;
-  Utbl.reset union_cache;
-  cache_tick := 0;
-  evict_floor := 0;
-  Mutex.unlock cache_mutex
+  Cmemo.clear counts;
+  Cmemo.clear empties
 
 let count_bset (b : Bset.t) : int =
   match compile b with
   | None -> 0
   | Some cp ->
-      probe cp
-        ~get:(fun e -> e.e_card)
-        ~set:(fun e v -> e.e_card <- Some v)
-        (fun () ->
+      probe counts cp (fun () ->
           let n =
             match make_plan ~symbolic:true cp with
             | plan -> count_with_plan cp plan
@@ -1172,10 +1082,7 @@ let is_empty_bset (b : Bset.t) : bool =
   match compile b with
   | None -> true
   | Some cp ->
-      probe cp
-        ~get:(fun e -> e.e_empty)
-        ~set:(fun e v -> e.e_empty <- Some v)
-        (fun () -> is_empty_compiled cp ~b)
+      probe empties cp (fun () -> is_empty_compiled cp ~b)
 
 let mem_bset (b : Bset.t) (point : int array) : bool =
   assert (Array.length point = b.Bset.nvis);
@@ -1311,124 +1218,83 @@ let seen_in_earlier (testers : (int array -> bool) array) ~upto p =
    that do not belong to any earlier disjunct.  The per-disjunct passes are
    independent given the testers, so they run on the parallel pool; the
    result is their (order-insensitive) sum, so parallelism cannot change
-   the answer.  Union cardinalities are memoized like single counts, keyed
-   by the multiset of disjunct keys. *)
+   the answer. *)
 let count_union (bs : Bset.t list) : int =
   match bs with
   | [] -> 0
   | [ b ] -> count_bset b
-  | _ ->
+  | _ -> (
       (* drop disjuncts that are syntactically empty; they contribute
-         neither points nor cache-key information *)
-      let live =
-        List.filter_map
-          (fun b -> Option.map (fun cp -> (b, cp)) (compile b))
-          bs
-      in
-      let compute () =
-        let arr = Array.of_list (List.map fst live) in
-        let n = Array.length arr in
-        let same_arity =
-          let nv = arr.(0).Bset.nvis in
-          Array.for_all (fun (b : Bset.t) -> b.Bset.nvis = nv) arr
-        in
-        let by_dedup () =
-          let testers = Array.map make_mem_bset arr in
-          let count_one i =
-            let total = ref 0 in
-            iter_bset arr.(i) (fun p ->
-                if not (seen_in_earlier testers ~upto:i p) then incr total);
-            !total
-          in
-          Array.fold_left ( + ) 0 (Tenet_util.Parallel.init n count_one)
-        in
-        if n <= 4 && same_arity then begin
-          (* Inclusion–exclusion: 2^n - 1 intersection counts, each of
-             which hits the closed-form path (and the cache) — no point
-             of the union is ever visited.  Bounded at 4 disjuncts so
-             the term count stays below the disjunct count's square;
-             TENET's unions (spatial-neighbor reuse, halo overlaps) have
-             2-4 disjuncts. *)
-          let count_mask i =
-            let m = i + 1 in
-            let parts = ref [] and bits = ref 0 in
-            for j = n - 1 downto 0 do
-              if m land (1 lsl j) <> 0 then begin
-                parts := arr.(j) :: !parts;
-                incr bits
-              end
-            done;
-            let inter =
-              match !parts with
-              | b :: rest -> List.fold_left Bset.meet b rest
-              | [] -> assert false
-            in
-            let c = count_bset inter in
-            if !bits land 1 = 1 then c else -c
-          in
-          let fast =
-            Array.fold_left ( + ) 0
-              (Tenet_util.Parallel.init ((1 lsl n) - 1) count_mask)
-          in
-          (* Under TENET_COUNT_VERIFY also certify the inclusion–exclusion
-             combination itself (each term was already checked). *)
-          if verify_mode () then begin
-            Obs.incr c_verify_checks;
-            let reference = by_dedup () in
-            if reference <> fast then begin
-              Obs.incr c_verify_mismatches;
-              raise
-                (Verify_mismatch
-                   {
-                     fast;
-                     reference;
-                     set =
-                       Printf.sprintf
-                         "inclusion-exclusion over a %d-disjunct union" n;
-                   })
-            end
-          end;
-          fast
-        end
-        else by_dedup ()
-      in
-      (match live with
+         no points *)
+      match List.filter (fun b -> Option.is_some (compile b)) bs with
       | [] -> 0
-      | [ (b, _) ] -> count_bset b
-      | _ ->
-          if cache_bound = 0 then compute ()
-          else begin
-            let ukey =
-              Array.of_list (List.map (fun (_, cp) -> key_of_compiled cp) live)
+      | [ b ] -> count_bset b
+      | live ->
+          let arr = Array.of_list live in
+          let n = Array.length arr in
+          let same_arity =
+            let nv = arr.(0).Bset.nvis in
+            Array.for_all (fun (b : Bset.t) -> b.Bset.nvis = nv) arr
+          in
+          let by_dedup () =
+            let testers = Array.map make_mem_bset arr in
+            let count_one i =
+              let total = ref 0 in
+              iter_bset arr.(i) (fun p ->
+                  if not (seen_in_earlier testers ~upto:i p) then incr total);
+              !total
             in
-            Array.sort compare ukey;
-            Mutex.lock cache_mutex;
-            let cached =
-              match Utbl.find_opt union_cache ukey with
-              | Some e ->
-                  incr cache_tick;
-                  e.u_tick <- !cache_tick;
-                  Some e.u_card
-              | None -> None
+            Array.fold_left ( + ) 0 (Tenet_util.Parallel.init n count_one)
+          in
+          if n <= 4 && same_arity then begin
+            (* Inclusion–exclusion: 2^n - 1 intersection counts, each of
+               which hits the closed-form path (and the cache) — no point
+               of the union is ever visited.  Bounded at 4 disjuncts so
+               the term count stays below the disjunct count's square;
+               TENET's unions (spatial-neighbor reuse, halo overlaps) have
+               2-4 disjuncts. *)
+            let count_mask i =
+              let m = i + 1 in
+              let parts = ref [] and bits = ref 0 in
+              for j = n - 1 downto 0 do
+                if m land (1 lsl j) <> 0 then begin
+                  parts := arr.(j) :: !parts;
+                  incr bits
+                end
+              done;
+              let inter =
+                match !parts with
+                | b :: rest -> List.fold_left Bset.meet b rest
+                | [] -> assert false
+              in
+              let c = count_bset inter in
+              if !bits land 1 = 1 then c else -c
             in
-            Mutex.unlock cache_mutex;
-            match cached with
-            | Some v ->
-                Obs.incr c_cache_hits;
-                v
-            | None ->
-                Obs.incr c_cache_misses;
-                let v = compute () in
-                Mutex.lock cache_mutex;
-                if not (Utbl.mem union_cache ukey) then begin
-                  make_room ();
-                  incr cache_tick;
-                  Utbl.add union_cache ukey
-                    { u_card = v; u_tick = !cache_tick }
-                end;
-                Mutex.unlock cache_mutex;
-                v
-          end)
+            let fast =
+              Array.fold_left ( + ) 0
+                (Tenet_util.Parallel.init ((1 lsl n) - 1) count_mask)
+            in
+            (* Under TENET_COUNT_VERIFY also certify the inclusion–exclusion
+               combination itself (each term was already checked). *)
+            if verify_mode () then begin
+              Obs.incr c_verify_checks;
+              let reference = by_dedup () in
+              if reference <> fast then begin
+                Obs.incr c_verify_mismatches;
+                raise
+                  (Verify_mismatch
+                     {
+                       fast;
+                       reference;
+                       set =
+                         Printf.sprintf
+                           "inclusion-exclusion over a %d-disjunct union" n;
+                     })
+              end
+            end;
+            fast
+          end
+          else by_dedup ())
 
 let iter_union (bs : Bset.t list) (f : int array -> unit) : unit =
   match bs with

@@ -13,7 +13,6 @@ exception Unbounded of string
 (** Raised when a visible dimension has no finite bounds. *)
 
 val count_bset : Bset.t -> int
-val is_empty_bset : Bset.t -> bool
 val mem_bset : Bset.t -> int array -> bool
 val iter_bset : Bset.t -> (int array -> unit) -> unit
 val sample_bset : Bset.t -> int array option
@@ -72,8 +71,8 @@ val cache_clear : unit -> unit
     the symbolic/quasi-polynomial fast path is re-derived through the
     plain enumeration path and compared; a disagreement raises
     {!Verify_mismatch} instead of propagating a silently wrong count.
-    Cross-checks happen at cache-fill time, so each distinct constraint
-    system is verified once per cache epoch; the
+    Cross-checks happen when a count is memoized, so each distinct
+    constraint system is verified once until {!cache_clear}; the
     [count.verify_checks] / [count.verify_mismatches] telemetry counters
     record the coverage. *)
 

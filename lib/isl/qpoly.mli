@@ -24,7 +24,6 @@ module Q : sig
   val zero : t
   val one : t
   val compare : t -> t -> int
-  val to_int_opt : t -> int option
   val to_string : t -> string
 end
 
@@ -35,7 +34,6 @@ val lin : (int * int) list -> int -> lin
 (** [lin terms k] builds an affine form from [(variable, coefficient)]
     pairs (any order, duplicates summed) and constant [k]. *)
 
-val lin_const : int -> lin
 val lin_scale : int -> lin -> lin
 val lin_add : lin -> lin -> lin
 
@@ -45,7 +43,6 @@ type t
 val zero : t
 val one : t
 val of_int : int -> t
-val of_lin : lin -> t
 val var : int -> t
 val add : t -> t -> t
 val sub : t -> t -> t
@@ -72,11 +69,6 @@ val subst : int -> by:lin -> t -> t
 val is_const : t -> int option
 (** [Some n] iff the quasi-polynomial is the integer constant [n]. *)
 
-val degree_in : int -> t -> int
-val mentions : int -> t -> bool
-val mentions_floor_of : int -> t -> bool
-(** Whether any floor atom's numerator mentions the variable — the
-    periodic case {!sum_var} refuses. *)
 
 val sum_var : v:int -> lb:t -> ub:t -> t -> t option
 (** [sum_var ~v ~lb ~ub body] is [sum_{v=lb}^{ub} body] as a

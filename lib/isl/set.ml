@@ -25,13 +25,6 @@ let box space bounds =
     bounds;
   { space; disjuncts = [ !b ] }
 
-let point space coords =
-  let n = Space.dim space in
-  if Array.length coords <> n then invalid_arg "Set.point: arity mismatch";
-  let b = ref (Bset.universe n) in
-  Array.iteri (fun i v -> b := Bset.fix !b ~dim:i v) coords;
-  { space; disjuncts = [ !b ] }
-
 let union a b =
   check_space a b;
   { a with disjuncts = a.disjuncts @ b.disjuncts }
@@ -74,12 +67,6 @@ let project ~keep t =
 
 let fix ~dim v t =
   { t with disjuncts = List.map (fun b -> Bset.fix b ~dim v) t.disjuncts }
-
-let lower_bound ~dim v t =
-  { t with disjuncts = List.map (fun b -> Bset.lower_bound b ~dim v) t.disjuncts }
-
-let upper_bound ~dim v t =
-  { t with disjuncts = List.map (fun b -> Bset.upper_bound b ~dim v) t.disjuncts }
 
 (* Add constraints given as quasi-affine expressions over the space's
    dimension names: [eqs] must equal 0, [ges] must be >= 0. *)

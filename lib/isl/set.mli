@@ -19,8 +19,6 @@ val universe : Space.t -> t
 val box : Space.t -> (int * int) list -> t
 (** [box space bounds] with inclusive per-dimension [(lo, hi)] bounds. *)
 
-val point : Space.t -> int array -> t
-
 val union : t -> t -> t
 val intersect : t -> t -> t
 
@@ -45,8 +43,6 @@ val project : keep:bool list -> t -> t
 (** Existentially project away the dims where [keep] is [false]. *)
 
 val fix : dim:int -> int -> t -> t
-val lower_bound : dim:int -> int -> t -> t
-val upper_bound : dim:int -> int -> t -> t
 
 val constrain : ?eqs:Aff.t list -> ?ges:Aff.t list -> t -> t
 (** Intersect with quasi-affine constraints over the space's dimension

@@ -24,6 +24,5 @@ type report = {
 val ways : size:int -> offset:int -> int -> int
 (** Number of chunks a directive walks over a dimension. *)
 
-val base_dims : Tenet_ir.Tensor_op.t -> string -> string list
 val analyze : Tenet_arch.Spec.t -> Tenet_ir.Tensor_op.t -> Notation.t -> report
 val find_tensor : report -> string -> tensor_report

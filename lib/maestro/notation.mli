@@ -15,7 +15,6 @@ val spatial : ?size:int -> ?offset:int -> string -> directive
 val temporal : ?size:int -> ?offset:int -> string -> directive
 val cluster : int -> directive
 
-val directive_to_string : directive -> string
 val to_string : t -> string
 
 val spatial_dims : t -> string list

@@ -197,24 +197,20 @@ let sort_uniq_span (a : int array) off len =
    the (already lex-filtered when interval = 0) interconnect relation.
    Memoized per (topology, PE-array dims): a DSE sweep calls [analyze]
    once per candidate against the same architecture, and re-enumerating
-   the interconnect relation dominated small-layer analyses.  The memo
-   table is mutex-guarded (analyses run on the parallel work pool); the
-   cached arrays are never mutated after construction. *)
-let pred_cache : (Arch.Interconnect.t * int array, int list array) Hashtbl.t =
-  Hashtbl.create 16
+   the interconnect relation dominated small-layer analyses.  The cached
+   arrays are never mutated after construction. *)
+module Pred_memo = Tenet_util.Memo.Make (Arch.Spec.Array_key)
 
-let pred_cache_mutex = Mutex.create ()
+let pred_memo : int list array Pred_memo.t =
+  Pred_memo.create ~max_entries:Arch.Spec.array_memo_entries ()
 
 let pred_pe_keys (spec : Arch.Spec.t) : int list array =
-  let pe = spec.Arch.Spec.pe in
-  let dims = Arch.Pe_array.dims pe in
-  let key = (spec.Arch.Spec.topology, dims) in
-  Mutex.lock pred_cache_mutex;
-  let cached = Hashtbl.find_opt pred_cache key in
-  Mutex.unlock pred_cache_mutex;
-  match cached with
+  let key = Arch.Spec.array_key spec in
+  match Pred_memo.find pred_memo key with
   | Some a -> a
   | None ->
+      let pe = spec.Arch.Spec.pe in
+      let dims = Arch.Pe_array.dims pe in
       let rel = Df.Spacetime.reuse_pe_relation pe spec.Arch.Spec.topology in
       let base = Array.map (fun d -> (0, d)) dims in
       let out = Array.make (max 1 (Arch.Pe_array.size pe)) [] in
@@ -223,16 +219,10 @@ let pred_pe_keys (spec : Arch.Spec.t) : int list array =
           let k = encode base dst in
           if k >= 0 then out.(k) <- encode base src :: out.(k))
         rel;
-      Mutex.lock pred_cache_mutex;
-      if not (Hashtbl.mem pred_cache key) then Hashtbl.add pred_cache key out;
-      Mutex.unlock pred_cache_mutex;
-      out
+      Pred_memo.add pred_memo key out
 
 (* For tests and cold-cache measurements. *)
-let clear_pred_cache () =
-  Mutex.lock pred_cache_mutex;
-  Hashtbl.reset pred_cache;
-  Mutex.unlock pred_cache_mutex
+let clear_pred_cache () = Pred_memo.clear pred_memo
 
 (* ------------------------------------------------------------------ *)
 (* The per-domain scratch pool.                                        *)

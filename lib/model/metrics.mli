@@ -66,7 +66,6 @@ val assemble :
     given, else the overlap latency.  Every model engine builds its
     record here. *)
 
-val pp_row : Format.formatter -> t -> unit
 val pp_tensor_row : Format.formatter -> tensor_metrics -> unit
 val to_string : t -> string
 

@@ -9,14 +9,6 @@ module Df = Tenet_dataflow
 
 exception Invalid_dataflow of string
 
-val stamp_histogram :
-  Tenet_isl.Map.t ->
-  n_space:int ->
-  time_bounds:(int * int) list ->
-  (int, int ref) Hashtbl.t
-(** Instances per time-stamp (active PEs under an injective dataflow),
-    keyed by the stamp's mixed-radix encoding against [time_bounds]. *)
-
 val analyze :
   ?adjacency:[ `Inner_step | `Lex_step ] ->
   ?validate:bool ->

@@ -166,6 +166,16 @@ type class_model =
     }
   | Unfit
 
+(* Fits per residue vector.  Residues are taken modulo the periods, so a
+   template holds at most the periods' product of classes and its table
+   never flushes. *)
+module Class_memo = Tenet_util.Memo.Make (struct
+  type t = int list
+
+  let equal = ( = )
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   spec : Arch.Spec.t;
   op : Ir.Tensor_op.t;
@@ -178,8 +188,7 @@ type t = {
   domain_qp : Qpoly.t option;
       (* |iteration domain| in the parameters, from the symbolic counting
          engine — the parametric n_instances, for display/cross-checks *)
-  classes : (int list, class_model) Hashtbl.t; (* residue vector -> fit *)
-  mutex : Mutex.t;
+  classes : class_model Class_memo.t;
 }
 
 let params t = Array.to_list t.params
@@ -250,8 +259,13 @@ let compile ?(adjacency : Df.Spacetime.adjacency = `Inner_step)
     params;
     periods;
     domain_qp = domain_count op params;
-    classes = Hashtbl.create 8;
-    mutex = Mutex.create ();
+    classes =
+      Class_memo.create
+        ~max_entries:
+          (Array.fold_left
+             (fun n p -> if n > max_int / p then max_int else n * p)
+             1 periods)
+        ();
   }
 
 (* ------------------------------------------------------------------ *)
@@ -347,24 +361,14 @@ let fit_class (t : t) (residues : int array) : class_model =
     let qps = !qps and skeleton = Option.get !skeleton in
     (* holdout verification *)
     let hvec, _ = eval_at holdout in
-    let dbg = Sys.getenv_opt "TENET_TEMPLATE_DEBUG" <> None in
     let ok =
+      Array.length hvec = Array.length qps
+      &&
       try
-        Array.length hvec = Array.length qps
-        && Array.for_all (fun x -> x)
-             (Array.mapi
-                (fun comp expect ->
-                  let got = Qpoly.eval (fun i -> holdout.(i)) qps.(comp) in
-                  if dbg && got <> expect then
-                    Printf.eprintf
-                      "[template] holdout miss comp=%d expect=%d got=%d qp=%s\n%!"
-                      comp expect got
-                      (Qpoly.to_string qps.(comp));
-                  got = expect)
-                hvec)
-      with Invalid_argument msg ->
-        if dbg then Printf.eprintf "[template] holdout raise: %s\n%!" msg;
-        false
+        Array.for_all2
+          (fun expect qp -> Qpoly.eval (fun i -> holdout.(i)) qp = expect)
+          hvec qps
+      with Invalid_argument _ -> false
     in
     if ok then
       Some
@@ -412,25 +416,12 @@ let class_of (t : t) (extents : int array) : class_model option =
   if not in_range then None
   else begin
     let key = Array.to_list residues in
-    Mutex.lock t.mutex;
-    let cached = Hashtbl.find_opt t.classes key in
-    Mutex.unlock t.mutex;
-    match cached with
+    match Class_memo.find t.classes key with
     | Some m -> Some m
     | None ->
         (* fit outside the lock: a racing duplicate fit is deterministic
            and benign, and fitting runs concrete analyses *)
-        let m = fit_class t residues in
-        Mutex.lock t.mutex;
-        let m =
-          match Hashtbl.find_opt t.classes key with
-          | Some prior -> prior
-          | None ->
-              Hashtbl.add t.classes key m;
-              m
-        in
-        Mutex.unlock t.mutex;
-        Some m
+        Some (Class_memo.add t.classes key (fit_class t residues))
   end
 
 (* ------------------------------------------------------------------ *)

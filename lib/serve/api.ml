@@ -725,16 +725,21 @@ let save_disk_cache ~dir : int =
 (* dims that are NOT parameters (those stay baked into the template).  *)
 (* A hit answers any concrete size by O(1) substitution — no counting, *)
 (* no enumeration — where the template's per-class fit covers it.      *)
+(* The tier holds at most [template_capacity] structures, about ten    *)
+(* times the 3 that the benchmark's serve mix keeps; a client sending   *)
+(* more flushes it and re-fits, answering the same bytes.               *)
 (* ------------------------------------------------------------------ *)
 
-let template_mutex = Mutex.create ()
-let template_cache : (string, M.Template.t) Hashtbl.t = Hashtbl.create 16
+module Template_memo = Tenet_util.Memo.Make (String)
+
+let template_capacity = 32
+
+let template_cache : M.Template.t Template_memo.t =
+  Template_memo.create ~max_entries:template_capacity ()
 
 let clear_cache () =
   Cache.clear (result_cache ());
-  Mutex.lock template_mutex;
-  Hashtbl.reset template_cache;
-  Mutex.unlock template_mutex
+  Template_memo.clear template_cache
 
 let template_key (r : Request.t) op =
   let fixed =
@@ -852,8 +857,7 @@ let cache_tiers () : cache_tiers =
   Mutex.unlock disk_mutex;
   {
     result = Cache.stats (result_cache ());
-    template_entries =
-      Mutex.protect template_mutex (fun () -> Hashtbl.length template_cache);
+    template_entries = Template_memo.length template_cache;
     template_hits = Obs.value c_template_cache_hits;
     template_misses = Obs.value c_template_cache_misses;
     tiers_disk_dir = dir;
@@ -1026,37 +1030,20 @@ let analyze_via_template (r : Request.t) spec op df :
         raise (Bad (Tenet_util.Text.unknown ~what:"param" d known)))
     r.Request.params;
   let key = template_key r op in
-  let probe () =
-    Mutex.lock template_mutex;
-    let t = Hashtbl.find_opt template_cache key in
-    Mutex.unlock template_mutex;
-    t
-  in
   let tpl =
-    match probe () with
+    match Template_memo.find template_cache key with
     | Some t ->
         Obs.incr c_template_cache_hits;
         t
     | None ->
         Obs.incr c_template_cache_misses;
-        let t =
-          try
-            M.Template.compile ~adjacency ~window:r.Request.window spec op df
-              ~params:r.Request.params
-          with Invalid_argument msg -> raise (Bad msg)
-        in
-        (* insert-if-absent: a racing compile of the same key built the
-           same (deterministic) template; keep the first *)
-        Mutex.lock template_mutex;
-        let t =
-          match Hashtbl.find_opt template_cache key with
-          | Some existing -> existing
-          | None ->
-              Hashtbl.add template_cache key t;
-              t
-        in
-        Mutex.unlock template_mutex;
-        t
+        (* a racing compile of the same key built the same
+           (deterministic) template; [add] keeps the first *)
+        Template_memo.add template_cache key
+          (try
+             M.Template.compile ~adjacency ~window:r.Request.window spec op df
+               ~params:r.Request.params
+           with Invalid_argument msg -> raise (Bad msg))
   in
   let sizes =
     List.map

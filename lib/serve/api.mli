@@ -15,11 +15,6 @@
 
 module Json = Tenet_obs.Json
 
-val version : int
-(** The protocol version this build speaks (currently 1).  Requests
-    carrying any other [api_version] are refused with an
-    [Unsupported_version] error. *)
-
 module Request : sig
   type cmd = Analyze | Volumes | Dse | Check | Stats
 
@@ -81,8 +76,8 @@ module Request : sig
 
   val of_json : Json.t -> (t, decode_error) result
   (** Total decode.  Unknown fields, type mismatches and out-of-range
-      values are [Bad_field]; an [api_version] other than {!version} is
-      [Bad_version].  Absent or [null] fields take their defaults; [cmd]
+      values are [Bad_field]; an [api_version] other than this build's
+      (currently 1) is [Bad_version].  Absent or [null] fields take their defaults; [cmd]
       is required. *)
 
   val fingerprint : t -> string
@@ -157,16 +152,7 @@ module Response : sig
   val status_to_string : [ `Ok | `Partial | `Error ] -> string
   val dataflow_json : Tenet_dataflow.Dataflow.t -> Json.t
   val payload_json : payload -> Json.t
-  val body_fields : body -> (string * Json.t) list
   val to_json : t -> Json.t
-  val ok_body : ?diagnostics:Tenet_analysis.Diagnostic.t list -> payload -> body
-
-  val error_body :
-    ?diagnostics:Tenet_analysis.Diagnostic.t list ->
-    error_kind ->
-    string ->
-    body
-
   val error : id:string -> error_kind -> string -> t
   val is_error : t -> bool
 end
@@ -188,9 +174,13 @@ val clear_cache : unit -> unit
 (** Drop both in-memory tiers: the result cache and the template cache
     (the persistent tier on disk is untouched). *)
 
+val template_capacity : int
+(** The most template structures the template tier holds.  Adding one
+    more to a full tier first drops them all. *)
+
 type cache_tiers = {
   result : Cache.stats;  (** the in-memory result LRU *)
-  template_entries : int;
+  template_entries : int;  (** at most {!template_capacity} *)
   template_hits : int;
   template_misses : int;
   tiers_disk_dir : string option;
@@ -202,7 +192,6 @@ type cache_tiers = {
     template tier and the persistent disk tier. *)
 
 val cache_tiers : unit -> cache_tiers
-val cache_tiers_json : cache_tiers -> Json.t
 
 (** {2 The persistent tier}
 
@@ -226,10 +215,10 @@ val set_extra_gauges : (unit -> (string * int) list) -> unit
     inflight gauge (and any future integer gauges) in both the JSON
     payload and the Prometheus exposition. *)
 
-(** {2 Stats exporters}
+(** {2 Stats exporter}
 
-    The two encodings behind the [stats] command, also callable
-    directly (the CI scrape test and the benches use them). *)
+    The JSON encoding behind the [stats] command.  Its Prometheus
+    encoding is a [stats] request with [format] [prometheus]. *)
 
 val stats_payload : unit -> Json.t
 (** The JSON stats payload: result cache, pool, queue (depth, overload
@@ -237,11 +226,6 @@ val stats_payload : unit -> Json.t
     quantiles since the previous JSON scrape — absent on the first
     scrape), and the full telemetry dump.  Each call advances the
     window. *)
-
-val prometheus_text : unit -> string
-(** Prometheus text exposition (format 0.0.4) of every telemetry
-    counter and histogram plus the serving gauges and result-cache
-    counters.  Cumulative series only; does not advance the window. *)
 
 (** {2 Model-input builders}
 

@@ -6,17 +6,10 @@
     replays are byte-identical.  See docs/serving.md ("The disk
     cache"). *)
 
-val version : int
-(** The on-disk format version (the file is [results-v<N>.jsonl]); a
-    header carrying any other version loads as empty. *)
-
 type entry = { key : string; body : string }
 (** [key] is the canonical request fingerprint; [body] the serialized
     response-body object — exactly the bytes the server writes after
     the [{"api_version":..,"id":..] envelope. *)
-
-val file : dir:string -> string
-(** The cache file path inside [dir]. *)
 
 val load : dir:string -> entry list
 (** Every well-formed entry, in file order.  Never raises on missing,

@@ -55,10 +55,8 @@ let set_jobs n =
   jobs_ref := Some n
 
 (* ------------------------------------------------------------------ *)
-(* Cancellation tokens.                                                *)
+(* Deadline tokens.                                                    *)
 (* ------------------------------------------------------------------ *)
-
-exception Cancelled
 
 (* The clock is injectable so deadline expiry is deterministic in tests;
    the serve scheduler leaves the wall-clock default. *)
@@ -66,21 +64,10 @@ let time_source : (unit -> float) ref = ref Unix.gettimeofday
 let set_time_source f = time_source := f
 let now () = !time_source ()
 
-type token = { t_flag : bool Atomic.t; t_deadline : float option }
+type token = float option (* the deadline on [now]'s clock, if any *)
 
-let token ?deadline_s () =
-  {
-    t_flag = Atomic.make false;
-    t_deadline = Option.map (fun d -> now () +. d) deadline_s;
-  }
-
-let cancel t = Atomic.set t.t_flag true
-
-let cancelled t =
-  Atomic.get t.t_flag
-  || match t.t_deadline with Some d -> now () >= d | None -> false
-
-let checkpoint t = if cancelled t then raise Cancelled
+let token ?deadline_s () = Option.map (fun d -> now () +. d) deadline_s
+let cancelled t = match t with Some d -> now () >= d | None -> false
 
 (* ------------------------------------------------------------------ *)
 (* The pool.                                                           *)

@@ -37,25 +37,20 @@ val init : ?chunk:int -> int -> (int -> 'b) -> 'b array
 (** [init n f] is [Array.init n f] with the calls distributed over the
     pool. *)
 
-(** {2 Cancellation}
+(** {2 Deadlines}
 
-    Cooperative cancellation for long-running request pipelines (the
-    serve scheduler): a token is either cancelled explicitly or expires
-    when its deadline passes; pipeline stages poll it between stages. *)
-
-exception Cancelled
+    Cooperative deadlines for long-running request pipelines (the serve
+    scheduler): a token expires when its deadline passes, and pipeline
+    stages poll it between stages. *)
 
 type token
 
 val token : ?deadline_s:float -> unit -> token
-(** A fresh token; with [deadline_s] it auto-cancels that many seconds
-    after creation (measured by {!now}). *)
+(** A fresh token; with [deadline_s] it expires that many seconds after
+    creation (measured by {!now}), without it never. *)
 
-val cancel : token -> unit
 val cancelled : token -> bool
-
-val checkpoint : token -> unit
-(** Raise {!Cancelled} if the token is cancelled or expired. *)
+(** Whether the token's deadline has passed. *)
 
 val now : unit -> float
 (** The scheduler clock (wall-clock seconds by default). *)

@@ -13,9 +13,6 @@ type layer = {
       (** dims safe to extrapolate with {!Tenet_model.Scaled} *)
 }
 
-val conv : string -> k:int -> c:int -> o:int -> r:int -> layer
-val dw_conv : string -> c:int -> o:int -> r:int -> layer
-val pw_conv : string -> k:int -> c:int -> o:int -> layer
 val macs : layer -> int
 
 val alexnet : layer list

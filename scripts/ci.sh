@@ -12,6 +12,11 @@ else
   echo "== dune fmt == (skipped: ocamlformat not installed)"
 fi
 
+echo "== exported surface (every val has an outside caller) =="
+# A library value nothing outside its own module calls is surface to
+# maintain for no one; keep it out of the .mli (a test caller counts).
+scripts/check_exports.sh
+
 echo "== dune build =="
 dune build
 

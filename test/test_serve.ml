@@ -500,6 +500,45 @@ let test_template_cache_tier () =
   check_bool "unknown param rejected" true
     (Api.Response.is_error (Api.run unknown))
 
+(* More distinct [params] structures than the template tier holds: the
+   tier flushes instead of growing, and each answer, fitted before or
+   after a flush, is the bytes a fresh run gives. *)
+let test_template_tier_bound () =
+  let structure ~id ~i k =
+    {
+      (small_analyze ~id ~sizes:[ i; 4; k ] ()) with
+      Api.Request.params = [ "i" ];
+    }
+  in
+  let n = Api.template_capacity + 5 in
+  let reqs =
+    List.init n (fun k -> structure ~id:(Printf.sprintf "s%d" k) ~i:24 (k + 1))
+    (* the first structures again, at a new size: their templates were
+       flushed, so they are compiled and fitted anew *)
+    @ List.init 3 (fun k ->
+          structure ~id:(Printf.sprintf "again%d" k) ~i:32 (k + 1))
+  in
+  Api.clear_cache ();
+  let lines =
+    List.map
+      (fun r ->
+        let line = Protocol.response_line (Api.run r) in
+        let held = (Api.cache_tiers ()).Api.template_entries in
+        if held > Api.template_capacity then
+          Alcotest.failf "%s: the tier holds %d templates (bound %d)"
+            r.Api.Request.id held Api.template_capacity;
+        line)
+      reqs
+  in
+  check_bool "the first fit answers from its template" true
+    (contains (List.hd lines) "closed_forms");
+  List.iter2
+    (fun r line ->
+      Api.clear_cache ();
+      check_string ("fresh run " ^ r.Api.Request.id) line
+        (Protocol.response_line (Api.run r)))
+    reqs lines
+
 let test_errors_not_cached () =
   Api.clear_cache ();
   let r =
@@ -1243,6 +1282,8 @@ let () =
           Alcotest.test_case "errors not cached" `Quick test_errors_not_cached;
           Alcotest.test_case "template cache tier" `Quick
             test_template_cache_tier;
+          Alcotest.test_case "template tier bound" `Quick
+            test_template_tier_bound;
         ] );
       ( "disk cache",
         [

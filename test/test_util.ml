@@ -3,6 +3,7 @@
 module IM = Tenet_util.Int_math
 module Ivec = Tenet_util.Ivec
 module Uf = Tenet_util.Union_find
+module Memo = Tenet_util.Memo.Make (Int)
 
 let check_int = Alcotest.(check int)
 
@@ -95,6 +96,56 @@ let prop_cdiv_neg =
     QCheck.(pair (int_range (-1000) 1000) (int_range 1 50))
     (fun (a, b) -> IM.cdiv a b = -IM.fdiv (-a) b)
 
+(* Four domains racing [add] on the same keys each get the value that
+   arrived first: one physical value per key, the one [find] returns. *)
+let test_memo_race () =
+  let t = Memo.create ~max_entries:1024 () in
+  let keys = 1000 in
+  let ready = Atomic.make 0 in
+  let racer d () =
+    Atomic.incr ready;
+    while Atomic.get ready < 4 do
+      Domain.cpu_relax ()
+    done;
+    Array.init keys (fun k -> Memo.add t k (Printf.sprintf "%d from %d" k d))
+  in
+  let got = List.map Domain.join (List.init 4 (fun d -> Domain.spawn (racer d))) in
+  check_int "one entry per key" keys (Memo.length t);
+  for k = 0 to keys - 1 do
+    let resident = Option.get (Memo.find t k) in
+    List.iteri
+      (fun d a ->
+        if a.(k) != resident then
+          Alcotest.failf "key %d: domain %d got %S, the table holds %S" k d
+            a.(k) resident)
+      got
+  done
+
+let test_memo_bound () =
+  let t = Memo.create ~max_entries:3 () in
+  List.iter (fun k -> ignore (Memo.add t k (k * 10))) [ 1; 2; 3 ];
+  check_int "full" 3 (Memo.length t);
+  check_int "a present key keeps its value" 20 (Memo.add t 2 99);
+  check_int "and does not flush" 3 (Memo.length t);
+  check_int "the next key is inserted" 40 (Memo.add t 4 40);
+  check_int "after flushing the rest" 1 (Memo.length t);
+  Alcotest.(check (option int)) "flushed" None (Memo.find t 1);
+  Alcotest.(check (option int)) "kept" (Some 40) (Memo.find t 4)
+
+let test_memo_clear () =
+  let t = Memo.create ~max_entries:8 () in
+  check_int "starts empty" 0 (Memo.length t);
+  ignore (Memo.add t 1 "one");
+  ignore (Memo.add t 2 "two");
+  check_int "two entries" 2 (Memo.length t);
+  Memo.clear t;
+  check_int "cleared" 0 (Memo.length t);
+  Alcotest.(check (option string)) "gone" None (Memo.find t 1);
+  Alcotest.(check string) "usable after clear" "uno" (Memo.add t 1 "uno");
+  Alcotest.check_raises "max_entries < 1"
+    (Invalid_argument "Memo.create: max_entries < 1") (fun () ->
+      ignore (Memo.create ~max_entries:0 ()))
+
 let () =
   Alcotest.run "util"
     [
@@ -111,6 +162,12 @@ let () =
         [ Alcotest.test_case "vector ops" `Quick test_ivec ] );
       ( "union_find",
         [ Alcotest.test_case "components" `Quick test_union_find ] );
+      ( "memo",
+        [
+          Alcotest.test_case "racing adds agree" `Quick test_memo_race;
+          Alcotest.test_case "full table flushes" `Quick test_memo_bound;
+          Alcotest.test_case "clear and length" `Quick test_memo_clear;
+        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_fdiv_fmod; prop_gcd_divides; prop_cdiv_neg ] );
