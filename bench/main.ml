@@ -88,6 +88,11 @@ let () =
     (fun name ->
       match List.find_opt (fun (n, _, _) -> String.equal n name) sections with
       | Some (_, _, run) -> begin
+          (* every section starts from empty memo tables, so its
+             counters do not depend on which sections ran before it *)
+          Tenet.Isl.Count.cache_clear ();
+          Tenet.Model.Concrete.clear_pred_cache ();
+          Tenet.Serve.Api.clear_cache ();
           Bench_util.reset_phases ();
           Bench_util.reset_extras ();
           if telemetry then begin

@@ -249,15 +249,9 @@ let wrap f = try `Ok (f ()) with
   | Failure msg | Invalid_argument msg | Api.Bad msg -> `Error (false, msg)
   | M.Concrete.Invalid_dataflow msg -> `Error (false, "invalid dataflow: " ^ msg)
   | T.Isl.Parser.Parse_error msg -> `Error (false, "parse error: " ^ msg)
+  | T.Isl.Aff.Nonlinear msg -> `Error (false, "non-affine expression: " ^ msg)
   | Ir.Cfront.Syntax_error msg -> `Error (false, "C syntax error: " ^ msg)
   | Sys_error msg -> `Error (false, msg)
-  (* TENET_COUNT_VERIFY=1: the counting sanitizer caught the symbolic
-     fast path disagreeing with enumeration *)
-  | T.Isl.Count.Verify_mismatch _ as e ->
-      `Error
-        ( false,
-          An.Diagnostic.to_string
-            (Option.get (An.Checker.diagnostic_of_exn e)) )
   (* a telemetry file that fails to write surfaces from Fun.protect's
      cleanup as Finally_raised *)
   | Fun.Finally_raised (Sys_error msg) -> `Error (false, msg)

@@ -18,9 +18,9 @@
    - by per-timestamp enumeration otherwise: a stamp-by-stamp walk of
      the machine state that mirrors [Tenet_sim.Simulator.run]'s
      window-1 register and interconnect semantics exactly
-     ([analysis.capacity_fallback]).  The agreement between the two is
-     cross-checked by the [TENET_CHECK_VERIFY=1] sanitizer
-     (test/test_check_verify.ml).
+     ([analysis.capacity_fallback]).  The oracle suite
+     (test/test_oracle.ml) compares the enumerated peaks with the
+     simulator's on every zoo subject in every test run.
 
    Transfer attribution (shared with the simulator's peak probes): an
    element moves over the interconnect edge [q -> p] in stamp [t] iff

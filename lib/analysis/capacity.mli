@@ -33,8 +33,8 @@ val enumerate_peaks :
   Arch.Spec.t -> Ir.Tensor_op.t -> Df.Dataflow.t -> peaks
 (** Exact per-timestamp peaks with argmax witnesses, by replaying the
     simulator's window-1 register and interconnect semantics.  The
-    [TENET_CHECK_VERIFY=1] sanitizer cross-checks these against
-    [Tenet_sim.Simulator]'s own probes. *)
+    oracle suite ([test/test_oracle.ml]) compares them with
+    [Tenet_sim.Simulator]'s own probes on every zoo subject. *)
 
 val check : Arch.Spec.t -> Ir.Tensor_op.t -> Df.Dataflow.t -> Diagnostic.t list
 (** TN014-TN018 for every capacity the spec declares; [[]] when

@@ -537,31 +537,6 @@ let check_reuse_feasibility ~adjacency (facts : arch_facts)
         (Ir.Tensor_op.tensors op)
 
 (* ------------------------------------------------------------------ *)
-(* Counting sanitizer (TN012).                                         *)
-(* ------------------------------------------------------------------ *)
-
-let diagnostic_of_exn : exn -> D.t option = function
-  | Isl.Count.Verify_mismatch { fast; reference; set } ->
-      Some
-        (D.make "TN012"
-           (Printf.sprintf
-              "symbolic count %d disagrees with enumeration %d on %s" fast
-              reference set))
-  | _ -> None
-
-(* Run [f] with the counting sanitizer armed; a mismatch surfaces as a
-   TN012 diagnostic instead of an exception. *)
-let with_count_verify (f : unit -> 'a) : ('a, D.t) result =
-  Isl.Count.set_verify_mode (Some true);
-  Fun.protect
-    ~finally:(fun () -> Isl.Count.set_verify_mode None)
-    (fun () ->
-      match f () with
-      | v -> Ok v
-      | exception (Isl.Count.Verify_mismatch _ as e) ->
-          Error (Option.get (diagnostic_of_exn e)))
-
-(* ------------------------------------------------------------------ *)
 (* Drivers.                                                            *)
 (* ------------------------------------------------------------------ *)
 

@@ -50,15 +50,6 @@ val check_arch : Tenet_arch.Spec.t -> D.t list
     interconnect rank, endpoint containment, self-loop wires.  Computed
     once per (topology, PE dims) and remembered, as {!check} does. *)
 
-val with_count_verify : (unit -> 'a) -> ('a, D.t) result
-(** Run [f] with the {!Tenet_isl.Count} sanitizer armed (as if
-    [TENET_COUNT_VERIFY=1]); a symbolic-vs-enumeration mismatch
-    surfaces as a TN012 diagnostic instead of an exception. *)
-
-val diagnostic_of_exn : exn -> D.t option
-(** Map checker-related exceptions (currently
-    {!Tenet_isl.Count.Verify_mismatch}) to diagnostics. *)
-
 (** {1 The Zoo x Repository sweep} *)
 
 type subject = {

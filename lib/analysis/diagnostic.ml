@@ -54,8 +54,8 @@ let registry : (string * severity * string * string) list =
       "the dataflow relation maps one instance to several \
        spacetime-stamps" );
     ( "TN012", Error, "count-verify-mismatch",
-      "the symbolic counting fast path disagrees with enumeration \
-       (TENET_COUNT_VERIFY)" );
+      "retired: never emitted; it reported the removed counting \
+       sanitizer's mismatches" );
     ( "TN013", Warning, "deadline-exceeded",
       "a serve/batch request ran past its deadline_ms; pipeline stages \
        past the expiry were skipped and the response is partial" );
@@ -125,9 +125,11 @@ let explanations : (string * string) list =
       "A raw spacetime relation (e.g. a hand-written Theta) maps one \
        instance to several stamps; Theta must be single-valued." );
     ( "TN012",
-      "The symbolic counting fast path disagreed with plain enumeration \
-       under TENET_COUNT_VERIFY=1.  This is an engine bug, not a model \
-       property; report it with the offending set." );
+      "Retired: no check emits this code, and it will not be reused.  It \
+       reported the counting sanitizer, a runtime mode that re-counted \
+       every set by enumeration and failed on a disagreement.  The oracle \
+       suite (test/test_oracle.ml) now makes those comparisons in every \
+       test run." );
     ( "TN013",
       "A serve/batch request ran past its deadline_ms budget; pipeline \
        stages past the expiry were skipped and the response is partial \

@@ -65,48 +65,6 @@ let c_fm = Obs.counter "count.fm_derivations"
 let c_dedup = Obs.counter "count.dedup_fallbacks"
 let c_cache_hits = Obs.counter "count.cache_hits"
 let c_cache_misses = Obs.counter "count.cache_misses"
-let c_verify_checks = Obs.counter "count.verify_checks"
-let c_verify_mismatches = Obs.counter "count.verify_mismatches"
-
-(* --- counting sanitizer (TENET_COUNT_VERIFY) ----------------------------
-
-   When armed, every cardinality computed through the symbolic/qpoly fast
-   path is re-derived through the plain enumeration path (closed tails
-   but no symbolic chain) and the two must agree.  This is CI's soundness
-   mode for the Barvinok-lite engine: a disagreement raises
-   [Verify_mismatch] instead of silently propagating a wrong volume.
-   Verification happens when a count is memoized, so each distinct
-   constraint system is cross-checked once until [cache_clear]. *)
-
-exception Verify_mismatch of { fast : int; reference : int; set : string }
-
-let () =
-  Printexc.register_printer (function
-    | Verify_mismatch { fast; reference; set } ->
-        Some
-          (Printf.sprintf
-             "Count.Verify_mismatch: symbolic count %d <> enumerated %d on %s"
-             fast reference set)
-    | _ -> None)
-
-let verify_forced : bool option ref = ref None
-
-(* Read once at module init: reading the environment cannot fail, and a
-   [lazy] here would not be domain-safe (pool domains race on the first
-   count; the losers raise [CamlinternalLazy.Undefined]). *)
-let verify_env =
-  match Sys.getenv_opt "TENET_COUNT_VERIFY" with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | _ -> false
-
-let verify_mode () =
-  match !verify_forced with Some b -> b | None -> verify_env
-
-let set_verify_mode b = verify_forced := b
-
-(* Test hook: replaces the enumeration reference with a stub so the
-   mismatch path itself can be exercised. *)
-let verify_oracle_for_tests : (Bset.t -> int) option ref = ref None
 
 exception Unbounded of string
 
@@ -1018,36 +976,9 @@ let count_bset (b : Bset.t) : int =
   | None -> 0
   | Some cp ->
       probe counts cp (fun () ->
-          let n =
-            match make_plan ~symbolic:true cp with
-            | plan -> count_with_plan cp plan
-            | exception Empty_set -> 0
-          in
-          if verify_mode () then begin
-            Obs.incr c_verify_checks;
-            let reference =
-              match !verify_oracle_for_tests with
-              | Some oracle -> oracle b
-              | None -> (
-                  match make_plan ~symbolic:false cp with
-                  | plan -> count_with_plan cp plan
-                  | exception Empty_set -> 0)
-            in
-            if reference <> n then begin
-              Obs.incr c_verify_mismatches;
-              let names =
-                List.init b.Bset.nvis (Printf.sprintf "x%d")
-              in
-              raise
-                (Verify_mismatch
-                   {
-                     fast = n;
-                     reference;
-                     set = Printer.set_to_string (Space.make "" names) [ b ];
-                   })
-            end
-          end;
-          n)
+          match make_plan ~symbolic:true cp with
+          | plan -> count_with_plan cp plan
+          | exception Empty_set -> 0)
 
 (* Satisfiability without caching, for the per-query [mem_bset] path
    (every query would otherwise insert a single-use cache entry). *)
@@ -1236,16 +1167,6 @@ let count_union (bs : Bset.t list) : int =
             let nv = arr.(0).Bset.nvis in
             Array.for_all (fun (b : Bset.t) -> b.Bset.nvis = nv) arr
           in
-          let by_dedup () =
-            let testers = Array.map make_mem_bset arr in
-            let count_one i =
-              let total = ref 0 in
-              iter_bset arr.(i) (fun p ->
-                  if not (seen_in_earlier testers ~upto:i p) then incr total);
-              !total
-            in
-            Array.fold_left ( + ) 0 (Tenet_util.Parallel.init n count_one)
-          in
           if n <= 4 && same_arity then begin
             (* Inclusion–exclusion: 2^n - 1 intersection counts, each of
                which hits the closed-form path (and the cache) — no point
@@ -1270,31 +1191,19 @@ let count_union (bs : Bset.t list) : int =
               let c = count_bset inter in
               if !bits land 1 = 1 then c else -c
             in
-            let fast =
-              Array.fold_left ( + ) 0
-                (Tenet_util.Parallel.init ((1 lsl n) - 1) count_mask)
-            in
-            (* Under TENET_COUNT_VERIFY also certify the inclusion–exclusion
-               combination itself (each term was already checked). *)
-            if verify_mode () then begin
-              Obs.incr c_verify_checks;
-              let reference = by_dedup () in
-              if reference <> fast then begin
-                Obs.incr c_verify_mismatches;
-                raise
-                  (Verify_mismatch
-                     {
-                       fast;
-                       reference;
-                       set =
-                         Printf.sprintf
-                           "inclusion-exclusion over a %d-disjunct union" n;
-                     })
-              end
-            end;
-            fast
+            Array.fold_left ( + ) 0
+              (Tenet_util.Parallel.init ((1 lsl n) - 1) count_mask)
           end
-          else by_dedup ())
+          else begin
+            let testers = Array.map make_mem_bset arr in
+            let count_one i =
+              let total = ref 0 in
+              iter_bset arr.(i) (fun p ->
+                  if not (seen_in_earlier testers ~upto:i p) then incr total);
+              !total
+            in
+            Array.fold_left ( + ) 0 (Tenet_util.Parallel.init n count_one)
+          end)
 
 let iter_union (bs : Bset.t list) (f : int array -> unit) : unit =
   match bs with
@@ -1328,6 +1237,21 @@ let is_empty_union (bs : Bset.t list) : bool = List.for_all is_empty_bset bs
    guaranteed exact. *)
 let default_param_range = (1, 4096)
 
+(* Whether every point of [box] satisfies [lc], a constraint at
+   position [pos] over positions that index [box] too.  Allocates
+   nothing: the parametric planner asks it of every parameter level. *)
+let box_implies (box : (int * int) array) ~pos (lc : level_con) : bool =
+  let least c (l, h) = c * if c >= 0 then l else h in
+  let most c (l, h) = c * if c >= 0 then h else l in
+  let lo = ref (lc.lc_k + least lc.lc_self box.(pos)) in
+  let hi = ref (lc.lc_k + most lc.lc_self box.(pos)) in
+  for i = 0 to Array.length lc.lc_terms - 1 do
+    let q, c = lc.lc_terms.(i) in
+    lo := !lo + least c box.(q);
+    hi := !hi + most c box.(q)
+  done;
+  if lc.lc_eq then !lo = 0 && !hi = 0 else !lo >= 0
+
 let count_bset_param ~n_params ?assume (b : Bset.t) : Qpoly.t option =
   assert (n_params >= 0 && n_params <= b.Bset.nvis);
   let assume =
@@ -1353,37 +1277,6 @@ let count_bset_param ~n_params ?assume (b : Bset.t) : Qpoly.t option =
            ]))
   in
   let b = Bset.add_cons b range_cons in
-  (* Under TENET_COUNT_VERIFY, spot-check the closed form against the
-     concrete engine at a few in-range parameter assignments (each of
-     which is itself cross-checked by [count_bset]'s own sanitizer). *)
-  let verify qp =
-    if verify_mode () && n_params > 0 then
-      List.iter
-        (fun step ->
-          Obs.incr c_verify_checks;
-          let vals = Array.map (fun (lo, hi) -> min (lo + step) hi) assume in
-          let fixed = ref b in
-          Array.iteri (fun p v -> fixed := Bset.fix !fixed ~dim:p v) vals;
-          let reference = count_bset !fixed in
-          let fast = Qpoly.eval (fun p -> vals.(p)) qp in
-          if reference <> fast then begin
-            Obs.incr c_verify_mismatches;
-            let at =
-              String.concat ","
-                (Array.to_list (Array.map string_of_int vals))
-            in
-            raise
-              (Verify_mismatch
-                 {
-                   fast;
-                   reference;
-                   set =
-                     Printf.sprintf "parametric template instantiated at (%s)"
-                       at;
-                 })
-          end)
-        [ 0; 3 ]
-  in
   (* A plan that resists symbolically can still yield an exact template
      when the set is empty for {e every} in-range parameter value (the
      emptiness query ranges over the parameter box too) — the usual case
@@ -1422,8 +1315,19 @@ let count_bset_param ~n_params ?assume (b : Bset.t) : Qpoly.t option =
             done;
             !ok
           in
-          if plan.dedup || (not plan.sat_proven) || not seated then
-            fallback ()
+          (* [sym] holds wherever the parameters meet the constraints
+             at their own positions (a skewed stamp's image is sparse
+             in its box), so it is exact on the whole box only when
+             the box implies them. *)
+          let rec box_exact pos =
+            pos = n_params
+            || List.for_all (box_implies assume ~pos) plan.level_cons.(pos)
+               && box_exact (pos + 1)
+          in
+          if
+            plan.dedup || (not plan.sat_proven) || (not seated)
+            || not (box_exact 0)
+          then fallback ()
           else (
             match plan.sym.(n_params) with
             | None -> fallback ()
@@ -1432,7 +1336,6 @@ let count_bset_param ~n_params ?assume (b : Bset.t) : Qpoly.t option =
                    parameters as a quasi-polynomial in positions
                    [0..n_params) — which, seated, are the parameter dims
                    themselves. *)
-                verify qp;
                 Obs.incr c_tpl;
                 Some qp))
 

@@ -7,7 +7,9 @@
     so each is bounded by its predecessors, and enumerates with per-level
     bound propagation; dimensions unreferenced by later constraints
     contribute closed-form width factors (so boxes cost O(dims)).  See the
-    implementation header for the full algorithm. *)
+    implementation header for the full algorithm.  The oracle suite
+    ([test/test_oracle.ml]) checks every count, parametric count
+    included, against the points iteration visits. *)
 
 exception Unbounded of string
 (** Raised when a visible dimension has no finite bounds. *)
@@ -48,10 +50,7 @@ val count_bset_param :
     dims past the first [n_params], as a quasi-polynomial in variables
     [0..n_params-1].  [assume] gives each parameter's inclusive range
     (default [(1, 4096)] per parameter): the result is certified exact
-    for every parameter assignment inside it.  Under
-    [TENET_COUNT_VERIFY=1] each template is additionally spot-checked
-    against the concrete engine at in-range assignments
-    ({!Verify_mismatch} on disagreement). *)
+    for every parameter assignment inside it. *)
 
 val count_union_param :
   n_params:int -> ?assume:(int * int) array -> Bset.t list -> Qpoly.t option
@@ -63,33 +62,3 @@ val cache_clear : unit -> unit
 (** Drop every memoized cardinality/emptiness result.  Counting results
     are deterministic, so this only matters for benchmarks and tests that
     want cold-cache timings or counter values. *)
-
-(** {2 Counting sanitizer}
-
-    With [TENET_COUNT_VERIFY=1] in the environment at program start (or
-    [set_verify_mode (Some true)]), every cardinality produced through
-    the symbolic/quasi-polynomial fast path is re-derived through the
-    plain enumeration path and compared; a disagreement raises
-    {!Verify_mismatch} instead of propagating a silently wrong count.
-    Cross-checks happen when a count is memoized, so each distinct
-    constraint system is verified once until {!cache_clear}; the
-    [count.verify_checks] / [count.verify_mismatches] telemetry counters
-    record the coverage. *)
-
-exception
-  Verify_mismatch of { fast : int; reference : int; set : string }
-(** The fast-path count, the enumeration reference, and a rendering of
-    the offending set. *)
-
-val verify_mode : unit -> bool
-(** Whether cross-checking is currently armed. *)
-
-val set_verify_mode : bool option -> unit
-(** [Some b] forces verification on/off regardless of the environment;
-    [None] returns to [TENET_COUNT_VERIFY]. *)
-
-(**/**)
-
-val verify_oracle_for_tests : (Bset.t -> int) option ref
-(* Test hook: replaces the enumeration reference so the mismatch path can
-   be exercised deterministically. *)

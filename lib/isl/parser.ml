@@ -79,7 +79,9 @@ let tokenize (s : string) : (token * int) list =
       while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do
         incr j
       done;
-      emit (INT (int_of_string (String.sub s !i (!j - !i))));
+      (match int_of_string_opt (String.sub s !i (!j - !i)) with
+      | Some v -> emit (INT v)
+      | None -> error_at s !start "integer literal past the int range");
       i := !j
     end
     else if is_id_start c then begin
@@ -204,24 +206,32 @@ and parse_term_rest st ~qualify lhs =
       parse_term_rest st ~qualify (Aff.Mul (lhs, rhs))
   | SLASH ->
       ignore (next st);
-      let d = parse_int_literal st in
+      let d = parse_divisor st "division" in
       parse_term_rest st ~qualify (Aff.Fdiv (lhs, d))
   | PERCENT | KMOD ->
       ignore (next st);
-      let d = parse_int_literal st in
+      let d = parse_divisor st "modulus" in
       parse_term_rest st ~qualify (Aff.Mod (lhs, d))
   | _ -> lhs
 
-and parse_int_literal st =
+(* The literal right of a [/], [%] or [mod]: floor division and modulus
+   are defined for positive divisors only. *)
+and parse_divisor st what =
   let p = pos st in
-  match next st with
-  | INT n -> n
-  | MINUS -> (
-      let p = pos st in
-      match next st with
-      | INT n -> -n
-      | _ -> error_at st.src p "expected integer literal")
-  | _ -> error_at st.src p "expected integer literal"
+  let d =
+    match next st with
+    | INT n -> n
+    | MINUS -> (
+        let q = pos st in
+        match next st with
+        | INT n -> -n
+        | _ -> error_at st.src q "expected integer literal")
+    | _ -> error_at st.src p "expected integer literal"
+  in
+  if d <= 0 then
+    error_at st.src p
+      (Printf.sprintf "%s by %d: expected a positive integer literal" what d);
+  d
 
 and parse_factor st ~qualify =
   let p = pos st in

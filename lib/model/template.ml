@@ -22,10 +22,9 @@
 
    Anything that resists (an unfit class, an extent below the sample
    floor, a non-integral evaluation) falls back to the concrete engine;
-   [template.*] counters record the split, and under
-   [TENET_COUNT_VERIFY=1] every instantiation is cross-checked against
-   a fresh concrete analysis (a disagreement raises
-   {!Tenet_isl.Count.Verify_mismatch}, surfaced as TN012). *)
+   [template.*] counters record the split.  The oracle suite
+   (test/test_oracle.ml) compares instantiations at seeded sizes with
+   fresh concrete analyses. *)
 
 module Ir = Tenet_ir
 module Arch = Tenet_arch
@@ -465,40 +464,8 @@ let try_instantiate (t : t) ~(sizes : (string * int) list) : Metrics.t option
           Obs.incr c_fallbacks;
           None
       | vec ->
-          let m = metrics_of_vector skeleton t.spec vec in
-          if Isl.Count.verify_mode () then begin
-            let assignment =
-              List.mapi (fun i d -> (d, extents.(i))) (Array.to_list t.params)
-            in
-            let reference =
-              vector_of
-                (Concrete.analyze ~adjacency:t.adjacency ~validate:t.validate
-                   ~window:t.window t.spec
-                   (shrink_op t.op assignment)
-                   t.df)
-            in
-            let names = Array.of_list (component_names skeleton) in
-            Array.iteri
-              (fun comp v ->
-                if reference.(comp) <> v then
-                  raise
-                    (Isl.Count.Verify_mismatch
-                       {
-                         fast = v;
-                         reference = reference.(comp);
-                         set =
-                           Printf.sprintf
-                             "metric template %s of %s under %s at (%s)"
-                             names.(comp) t.op.Ir.Tensor_op.name
-                             t.df.Df.Dataflow.name
-                             (String.concat ","
-                                (Array.to_list
-                                   (Array.map string_of_int extents)));
-                       }))
-              vec
-          end;
           Obs.incr c_instantiations;
-          Some m)
+          Some (metrics_of_vector skeleton t.spec vec))
 
 let instantiate (t : t) ~(sizes : (string * int) list) : Metrics.t =
   match try_instantiate t ~sizes with

@@ -19,9 +19,7 @@
     sample floor, non-integral evaluation) fall back to the concrete
     engine; [template.class_fits], [template.class_unfit],
     [template.instantiations] and [template.fallbacks] counters record
-    the split.  Under [TENET_COUNT_VERIFY=1] every instantiation is
-    cross-checked against a fresh concrete analysis and a disagreement
-    raises {!Tenet_isl.Count.Verify_mismatch} (diagnostic TN012). *)
+    the split. *)
 
 type t
 (** A compiled template.  Fitting is lazy per residue class and the

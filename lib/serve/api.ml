@@ -1337,6 +1337,9 @@ let run (r : Request.t) : Response.t =
             | Isl.Parser.Parse_error msg ->
                 Response.error_body Response.Bad_request
                   ("parse error: " ^ msg)
+            | Isl.Aff.Nonlinear msg ->
+                Response.error_body Response.Bad_request
+                  ("non-affine expression: " ^ msg)
             | Ir.Cfront.Syntax_error msg ->
                 Response.error_body Response.Bad_request
                   ("C syntax error: " ^ msg)
@@ -1344,14 +1347,6 @@ let run (r : Request.t) : Response.t =
               ->
                 Response.error_body Response.Bad_request
                   ("invalid dataflow: " ^ msg)
-            | Isl.Count.Verify_mismatch _ as e ->
-                let ds =
-                  match An.Checker.diagnostic_of_exn e with
-                  | Some d -> [ d ]
-                  | None -> []
-                in
-                Response.error_body ~diagnostics:ds Response.Internal
-                  "counting sanitizer mismatch"
             | Failure msg | Invalid_argument msg ->
                 (* A bare [Failure]/[Invalid_argument] reaching this far is
                    a broken internal invariant, not a client mistake: every

@@ -65,9 +65,9 @@ type result = {
   traffic : tensor_traffic list;
   stalled_cycles : int; (* cycles beyond one per stamp *)
   (* peak occupancy probes, the ground truth for the capacity checker's
-     TN014/TN015 verdicts (Analysis.Capacity; cross-checked under
-     TENET_CHECK_VERIFY=1).  Kept out of to_string/to_json so existing
-     transcripts stay byte-identical. *)
+     TN014/TN015 verdicts (Analysis.Capacity; compared on every zoo
+     subject by test/test_oracle.ml).  Kept out of to_string/to_json so
+     existing transcripts stay byte-identical. *)
   peak_pe_live : int; (* max distinct elements in one PE's registers *)
   peak_chip_live : int; (* max distinct (tensor, element) in one stamp *)
   peak_link_load : int; (* max transfers over one edge in one stamp *)

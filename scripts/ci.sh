@@ -17,6 +17,17 @@ echo "== exported surface (every val has an outside caller) =="
 # maintain for no one; keep it out of the .mli (a test caller counts).
 scripts/check_exports.sh
 
+echo "== environment reads (lib/ reads only its documented knobs) =="
+# TENET_JOBS (util/parallel.ml), the serve settings (serve/config.ml) and
+# the cache budget (serve/api.ml) are the library's only environment
+# reads; a debug knob anywhere else would change results unseen.
+env_readers=$(grep -rl 'Sys\.getenv' lib \
+  | grep -v -x -e lib/util/parallel.ml -e lib/serve/config.ml \
+      -e lib/serve/api.ml || true)
+[ -z "$env_readers" ] \
+  || { echo "lib/ files reading the environment: $env_readers"; exit 1; }
+echo "environment reads confined to parallel.ml, config.ml and api.ml"
+
 echo "== dune build =="
 dune build
 
@@ -284,17 +295,6 @@ responses ($overloaded)"; exit 1; }
 echo "graduated shedding consistent: $overloaded overloaded responses \
 (hard $1, normal $2, low $3, expired $4)"
 
-echo "== counting sanitizer shard (TENET_COUNT_VERIFY=1) =="
-# One oracle-test shard re-runs with every symbolic count cross-checked
-# against enumeration; any disagreement raises Count.Verify_mismatch.
-TENET_COUNT_VERIFY=1 dune exec test/test_count_oracle.exe >/dev/null
-
-echo "== capacity sanitizer shard (TENET_CHECK_VERIFY=1) =="
-# The capacity checker's peak enumeration is cross-checked against the
-# cycle-level simulator's observed peaks on the full zoo sweep; the two
-# implement the same attribution from independent code paths.
-TENET_CHECK_VERIFY=1 dune exec test/test_check_verify.exe >/dev/null
-
 echo "== engine CLI contract (tenet analyze/simulate on invalid dataflows) =="
 # A dataflow whose space stamp has the wrong rank for the PE array, that
 # leaves the array, or that puts two instances on one PE in one stamp
@@ -339,6 +339,26 @@ for cmd in analyze simulate; do
   engine_rejects "$cmd" --c-file "$tmp_root/wide_element.c" --space 'i,j' \
     --time 'k'
 done
+# A zero divisor or modulus and a literal past the int range are parse
+# errors, never an assertion, a division fault or a lexer failure.
+parse_rejects() {
+  if dune exec -- tenet analyze "$@" \
+      >"$tmp_root/engine.out" 2>"$tmp_root/engine.err"; then
+    echo "tenet analyze $* accepted a malformed expression"
+    exit 1
+  fi
+  if grep -q -e 'Assertion failed' -e 'Division_by_zero' -e 'int_of_string' \
+      "$tmp_root/engine.err" \
+      || ! grep -q 'parse error:' "$tmp_root/engine.err"; then
+    cat "$tmp_root/engine.err"
+    echo "tenet analyze $*: expected a parse error"
+    exit 1
+  fi
+  echo "rejected: $(cat "$tmp_root/engine.err")"
+}
+parse_rejects --space 'i%0,j%8'
+parse_rejects --time 'i/0,j/8,k'
+parse_rejects --time 'i/9223372036854775807,j/8,k'
 
 echo "== benchmark digests (perfbench/run.py, seed 1) =="
 # The committed seed-1 digests pin the output bytes of every benchmark

@@ -445,29 +445,6 @@ let test_tn011_not_single_valued () =
   check_int "clean theta" 0
     (List.length (An.Checker.check_theta_map m1))
 
-(* --- TN012: the counting sanitizer --------------------------------- *)
-
-let test_tn012_count_verify () =
-  (* force a mismatch with a stubbed reference evaluator *)
-  let s = P.set "{ V[i] : 0 <= i < 5 }" in
-  Isl.Count.verify_oracle_for_tests := Some (fun _ -> -1);
-  Isl.Count.cache_clear ();
-  Fun.protect
-    ~finally:(fun () ->
-      Isl.Count.verify_oracle_for_tests := None;
-      Isl.Count.set_verify_mode None;
-      Isl.Count.cache_clear ())
-    (fun () ->
-      match An.Checker.with_count_verify (fun () -> Isl.Set.card s) with
-      | Ok n -> Alcotest.fail (Printf.sprintf "mismatch not caught: %d" n)
-      | Error d ->
-          check_bool "code" true (String.equal d.An.Diagnostic.code "TN012"));
-  (* with the real reference evaluator the sanitizer is silent *)
-  Isl.Count.cache_clear ();
-  match An.Checker.with_count_verify (fun () -> Isl.Set.card s) with
-  | Ok n -> check_int "verified count" 5 n
-  | Error d -> Alcotest.fail (An.Diagnostic.to_string d)
-
 (* --- precheck, JSON, registry -------------------------------------- *)
 
 let test_precheck_cheap () =
@@ -796,8 +773,6 @@ let () =
           Alcotest.test_case "TN010 degenerate" `Quick test_tn010_degenerate;
           Alcotest.test_case "TN011 not single-valued" `Quick
             test_tn011_not_single_valued;
-          Alcotest.test_case "TN012 count verify" `Quick
-            test_tn012_count_verify;
         ] );
       ( "api",
         [

@@ -372,10 +372,7 @@ let test_fig8_closed_form () =
   let v name = Obs.value (Obs.counter name) in
   Alcotest.(check bool) "qpoly fires on theta" true (v "count.qpoly_hits" > 0);
   let points = v "count.points_enumerated" in
-  (* under TENET_COUNT_VERIFY=1 the sanitizer re-counts every set by
-     enumeration on purpose, so the closed-form budget only applies to
-     an unverified run *)
-  if (not (Count.verify_mode ())) && points > 64 then
+  if points > 64 then
     Alcotest.failf
       "theta counting should be closed form; enumerated %d points" points
 

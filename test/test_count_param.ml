@@ -220,6 +220,24 @@ let test_assume_range () =
             (Qpoly.eval (fun _ -> p) qp))
         [ 5; 17; 200 ]
 
+let test_sparse_parameter_image () =
+  (* x = p - 2 with 0 <= x <= 1: the count is 1 at p = 2 and p = 3 and
+     0 elsewhere in the box.  Eliminating x leaves constraints on p
+     alone, which the box does not imply, so a template must not claim
+     the count of 1 for the whole box. *)
+  let b =
+    bset 2
+      [
+        { Bset.a = [| -1; 1 |]; k = 2; eq = true };
+        ge 2 [ (1, 1) ] 0;
+        ge 2 [ (1, -1) ] 1;
+      ]
+  in
+  match Count.count_bset_param ~n_params:1 ~assume:[| (0, 5) |] b with
+  | None -> ()
+  | Some qp ->
+      check_template ~n_params:1 b qp ~at:(List.init 6 (fun p -> [ p ]))
+
 (* --- randomized differential sweep ---------------------------------- *)
 
 let test_random_boxes () =
@@ -270,27 +288,6 @@ let test_random_boxes () =
   if !hits < 100 then
     Alcotest.failf "only %d/200 random sets produced a template" !hits
 
-let test_verify_mode () =
-  (* The sanitizer path itself: with verification forced on, building a
-     correct template must pass its internal spot checks silently. *)
-  Count.set_verify_mode (Some true);
-  Fun.protect
-    ~finally:(fun () -> Count.set_verify_mode None)
-    (fun () ->
-      let b =
-        bset 3
-          [
-            ge 3 [ (1, 1) ] 0;
-            ge 3 [ (0, 1); (1, -1) ] (-1);
-            ge 3 [ (2, 1) ] 0;
-            ge 3 [ (1, 1); (2, -1) ] 0;
-          ]
-      in
-      match Count.count_bset_param ~n_params:1 b with
-      | None -> Alcotest.fail "verified template resisted"
-      | Some qp ->
-          check_template ~n_params:1 b qp ~at:[ [ 1 ]; [ 6 ]; [ 20 ] ])
-
 let () =
   Alcotest.run "count_param"
     [
@@ -306,7 +303,8 @@ let () =
           Alcotest.test_case "union disjoint" `Quick test_union_disjoint;
           Alcotest.test_case "resisting shapes" `Quick test_resists;
           Alcotest.test_case "assume range" `Quick test_assume_range;
+          Alcotest.test_case "sparse parameter image" `Quick
+            test_sparse_parameter_image;
           Alcotest.test_case "random boxes" `Quick test_random_boxes;
-          Alcotest.test_case "verify mode" `Quick test_verify_mode;
         ] );
     ]

@@ -1,16 +1,14 @@
-(* First use of process-wide values from several domains at once.
+(* First use of a process-wide value from several domains at once.
 
-   The first [Count.verify_mode] call and the first serve result-cache
-   access can both come from pool domains racing each other.  A plain
-   [lazy] behind them is not domain-safe in OCaml 5: a domain forcing
-   it while another domain is still computing it raises
-   [CamlinternalLazy.Undefined].  A race needs a fresh process (the
-   value is built once per process), so this binary re-executes itself
-   as a child that lines up four domains on a barrier and makes both
-   first uses at once, fifty times over. *)
+   The first serve result-cache access can come from pool domains
+   racing each other.  A plain [lazy] behind it is not domain-safe in
+   OCaml 5: a domain forcing it while another domain is still computing
+   it raises [CamlinternalLazy.Undefined].  A race needs a fresh process
+   (the value is built once per process), so this binary re-executes
+   itself as a child that lines up four domains on a barrier and makes
+   the first use at once, fifty times over. *)
 
 module Api = Tenet.Serve.Api
-module Count = Tenet.Isl.Count
 
 let child_flag = "--first-use-child"
 let domains = 4
@@ -25,22 +23,15 @@ let barrier n =
       Domain.cpu_relax ()
     done
 
-(* A domain that raised still reaches the next barrier, so its
-   siblings never wait on it forever. *)
 let child () =
-  let first = barrier domains and second = barrier domains in
+  let ready = barrier domains in
   let raised = Atomic.make 0 in
-  let attempt f =
-    try f ()
+  let force () =
+    ready ();
+    try Api.clear_cache ()
     with e ->
       prerr_endline ("first use raised: " ^ Printexc.to_string e);
       Atomic.incr raised
-  in
-  let force () =
-    first ();
-    attempt (fun () -> ignore (Count.verify_mode ()));
-    second ();
-    attempt Api.clear_cache
   in
   List.iter Domain.join (List.init domains (fun _ -> Domain.spawn force));
   exit (if Atomic.get raised = 0 then 0 else 1)

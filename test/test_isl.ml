@@ -253,7 +253,29 @@ let test_parser_errors () =
   let fails s = match P.set s with _ -> false | exception _ -> true in
   check_bool "unknown dim" true (fails "{ A[i] : 0 <= q < 4 }");
   check_bool "garbage" true (fails "{ A[i] 0 <= i }");
-  check_bool "unclosed" true (fails "{ A[i : 0 <= i < 4 }")
+  check_bool "unclosed" true (fails "{ A[i : 0 <= i < 4 }");
+  (* floor division and modulus take a positive literal, and a literal
+     must fit an int; the refusal points at the offending literal *)
+  let refused what src =
+    match P.set src with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception P.Parse_error msg ->
+        let at = "at offset" in
+        let rec has i =
+          i + String.length at <= String.length msg
+          && (String.sub msg i (String.length at) = at || has (i + 1))
+        in
+        check_bool (what ^ " names an offset") true (has 0)
+  in
+  refused "modulus by 0" "{ A[i] : 0 <= i < 4 and i mod 0 = 1 }";
+  refused "% by 0" "{ A[i] : 0 <= i < 4 and i % 0 = 1 }";
+  refused "modulus by -3" "{ A[i] : 0 <= i < 4 and i % -3 = 1 }";
+  refused "division by 0" "{ A[i] : 0 <= i < 4 and floor(i/0) = 1 }";
+  refused "division by -2" "{ A[i] : 0 <= i < 4 and i / -2 = 1 }";
+  refused "literal past the int range"
+    "{ A[i] : 0 <= i < 99999999999999999999 }";
+  refused "literal past the int range (2^63 - 1)"
+    "{ A[i] : 0 <= i < 9223372036854775807 }"
 
 let test_to_string_roundtrip () =
   let cases =

@@ -846,6 +846,66 @@ let test_wide_codes_bad_request () =
     { (conv Api.Request.Analyze "wcr") with Api.Request.engine = `Relational }
     conv_msg
 
+(* A malformed or non-affine stamp expression is the client's mistake:
+   bad_request, never an internal error from the engine that trips on
+   it.  Where the parser sees the error, the message names its offset. *)
+let test_expression_errors_bad_request () =
+  let stamp ?(cmd = Api.Request.Analyze) ?(space = "i%8,j%8")
+      ?(time = "i/8,j/8,k") ?(params = []) ?(engine = `Concrete) id =
+    {
+      (Api.Request.default cmd) with
+      Api.Request.id;
+      sizes = [ 16; 16; 16 ];
+      space;
+      time;
+      params;
+      engine;
+    }
+  in
+  let expect what (r : Api.Request.t) ~prefix =
+    match Api.run r with
+    | {
+        Api.Response.body = { Api.Response.error = Some (kind, msg); _ };
+        _;
+      } ->
+        check_string (what ^ ": kind") "bad_request"
+          (Api.Response.error_kind_to_string kind);
+        check_bool (what ^ ": " ^ msg) true (String.starts_with ~prefix msg);
+        if prefix = "parse error:" then
+          check_bool (what ^ ": offset in " ^ msg) true
+            (contains msg "at offset")
+    | _ -> Alcotest.failf "%s: expected an error response" what
+  in
+  let parse = "parse error:" and nonaffine = "non-affine expression:" in
+  expect "i%0" (stamp ~space:"i%0,j%8" "m0") ~prefix:parse;
+  expect "i/0" (stamp ~time:"i/0,j/8,k" "d0") ~prefix:parse;
+  expect "i%0 with params"
+    (stamp ~space:"i%0,j%8" ~params:[ "i" ] "m0p")
+    ~prefix:parse;
+  expect "check i%0"
+    (stamp ~cmd:Api.Request.Check ~space:"i%0,j%8" "m0c")
+    ~prefix:parse;
+  expect "volumes i%0"
+    (stamp ~cmd:Api.Request.Volumes ~space:"i%0,j%8" "m0v")
+    ~prefix:parse;
+  expect "i%-8" (stamp ~space:"i%-8,j%8" "mn") ~prefix:parse;
+  expect "i/-8" (stamp ~time:"i/-8,j/8,k" "dn") ~prefix:parse;
+  expect "literal past the int range"
+    (stamp ~time:"i/9223372036854775807,j/8,k" "big")
+    ~prefix:parse;
+  List.iter
+    (fun time ->
+      expect ("check " ^ time)
+        (stamp ~cmd:Api.Request.Check ~time "nc")
+        ~prefix:nonaffine;
+      expect ("volumes " ^ time)
+        (stamp ~cmd:Api.Request.Volumes ~time "nv")
+        ~prefix:nonaffine;
+      expect ("relational " ^ time)
+        (stamp ~engine:`Relational ~time "nr")
+        ~prefix:nonaffine)
+    [ "i/8,j/8,k*k"; "i/8,j/8,abs(k)" ]
+
 (* --- the pool: a raising task must not kill its worker --- *)
 
 let test_worker_survives_raising_task () =
@@ -1309,6 +1369,8 @@ let () =
             test_error_classification;
           Alcotest.test_case "wide code spaces are bad requests" `Quick
             test_wide_codes_bad_request;
+          Alcotest.test_case "expression errors are bad requests" `Quick
+            test_expression_errors_bad_request;
         ] );
       ( "pool",
         [

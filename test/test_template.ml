@@ -14,10 +14,6 @@ let check_string = Alcotest.(check string)
 
 let bytes_of (m : M.Metrics.t) = Json.to_string (M.Metrics.to_json m)
 
-let with_verify f =
-  Isl.Count.set_verify_mode (Some true);
-  Fun.protect ~finally:(fun () -> Isl.Count.set_verify_mode None) f
-
 (* ------------------------------------------------------------------ *)
 (* Byte-identity against fresh concrete analyses.                      *)
 (* ------------------------------------------------------------------ *)
@@ -40,7 +36,6 @@ let check_sizes ~msg tpl spec df make_op sizes_list =
     sizes_list
 
 let test_gemm_random_sizes () =
-  with_verify @@ fun () ->
   let spec = Arch.Repository.tpu_like () in
   let df = Df.Zoo.gemm_ij_p_ijk_t () in
   let op = Ir.Kernels.gemm ~ni:64 ~nj:64 ~nk:64 in
@@ -59,7 +54,6 @@ let test_gemm_random_sizes () =
     sizes_list
 
 let test_conv_random_sizes () =
-  with_verify @@ fun () ->
   let spec = Arch.Repository.tpu_like () in
   let df = Df.Zoo.conv_nvdla () in
   let op = Ir.Kernels.conv2d ~nk:8 ~nc:16 ~nox:14 ~noy:14 ~nrx:3 ~nry:3 in
