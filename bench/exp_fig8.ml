@@ -45,7 +45,7 @@ let tests () =
     Test.make ~name:"TENET relational/ISL (gemm 4^3)"
       (Staged.stage (fun () ->
            ignore
-             (M.Model.analyze ~validate:false
+             (M.Model.analyze
                 (Arch.Repository.tpu_like ~n:2 ())
                 gemm_tiny
                 (Df.Zoo.gemm_ij_p_ijk_t ~p:2 ()))))

@@ -4,9 +4,8 @@
    a concrete witness point whenever a property fails on one — the
    battery of properties TENET's metrics implicitly assume:
 
-   - Θ is single-valued (by construction for [Dataflow.t]; checked
-     relationally for raw maps via {!check_theta_map}) and injective on
-     its domain: one MAC per PE per cycle (TN003/TN011);
+   - Θ (single-valued by construction for [Dataflow.t]) is injective on
+     its domain: one MAC per PE per cycle (TN003);
    - every space stamp lands inside the PE array (TN001/TN002);
    - the schedule is causal: every RAW dependence has a lexicographically
      non-negative time-stamp delta, computed as a relation and checked
@@ -18,12 +17,15 @@
    - lints: empty domains, unused iterators, unknown iterators,
      degenerate space coordinates (TN007-TN010).
 
-   Every finding is relational — violating sets are built with the same
-   [Isl] algebra the model itself uses, and witnesses are sampled from
-   them — so the checker cannot drift from the model's semantics.  Two
-   shortcuts keep a check cheap without changing any report: TN003 first
-   tries [Dataflow.injective_by_construction], a sound certificate read
-   off the stamp expressions, and counts Θ only when it fails; TN005's
+   Every verdict is relational — violating sets are built with the same
+   [Isl] algebra the model itself uses — so the checker cannot drift
+   from the model's semantics.  Witnesses are sampled from those sets,
+   except TN003's: its conflicting pair is read off the concrete
+   engine's pass 1 ([Concrete.conflict_pair]), which the relational
+   sample took seconds to find.  Two shortcuts keep a check cheap
+   without changing any report: TN003 first tries
+   [Dataflow.injective_by_construction], a sound certificate read off
+   the stamp expressions, and counts Θ only when it fails; TN005's
    findings and TN006's suspect PE pairs depend on the architecture
    alone, so they are computed once per (topology, PE dims). *)
 
@@ -143,23 +145,21 @@ let check_rank (df : Df.Dataflow.t) (pe : Arch.Pe_array.t) : D.t list =
       ]
 
 (* TN002: space-stamp containment, with a sampled escaping instance. *)
-let check_bounds ?(want_witness = true) (op : Ir.Tensor_op.t)
-    (df : Df.Dataflow.t) (pe : Arch.Pe_array.t) : D.t list =
+let check_bounds (op : Ir.Tensor_op.t) (df : Df.Dataflow.t)
+    (pe : Arch.Pe_array.t) : D.t list =
   match Df.Dataflow.bounds_violation op df pe with
   | None -> []
   | Some (i, (lo, hi), extent) ->
       let witness =
-        if want_witness then
-          Option.map
-            (fun (wi, n, stamp) ->
-              D.witness
-                ~note:
-                  (Printf.sprintf "lands at PE[%s], dim %d out of range"
-                     (fmt_point stamp) wi)
-                ~space:(Isl.Space.to_string (Ir.Tensor_op.space op))
-                n)
-            (Df.Dataflow.bounds_witness op df pe)
-        else None
+        Option.map
+          (fun (wi, n, stamp) ->
+            D.witness
+              ~note:
+                (Printf.sprintf "lands at PE[%s], dim %d out of range"
+                   (fmt_point stamp) wi)
+              ~space:(Isl.Space.to_string (Ir.Tensor_op.space op))
+              n)
+          (Df.Dataflow.bounds_witness op df pe)
       in
       [
         D.make "TN002" ?witness
@@ -167,9 +167,10 @@ let check_bounds ?(want_witness = true) (op : Ir.Tensor_op.t)
              df.Df.Dataflow.name i lo hi extent);
       ]
 
-(* TN003: Θ injectivity on the iteration domain, with a sampled
-   conflicting instance pair.  A Θ the certificate proves injective has
-   no conflict, so only an uncertified Θ is counted. *)
+(* TN003: Θ injectivity on the iteration domain, with a conflicting
+   instance pair read off the concrete engine's pass 1.  A Θ the
+   certificate proves injective has no conflict, so only an uncertified
+   Θ is counted. *)
 let check_conflicts (op : Ir.Tensor_op.t) (df : Df.Dataflow.t) : D.t list =
   let certified = Df.Dataflow.injective_by_construction op df in
   Obs.incr (if certified then c_certified else c_counted);
@@ -187,51 +188,13 @@ let check_conflicts (op : Ir.Tensor_op.t) (df : Df.Dataflow.t) : D.t list =
                    (Isl.Space.to_string (Ir.Tensor_op.space op))
                    (Ir.Tensor_op.space op).Isl.Space.tuple)
               (Array.append n n'))
-          (Df.Dataflow.conflict_witness op df)
+          (M.Concrete.conflict_pair op df)
       in
       [
         D.make "TN003" ?witness
           (Printf.sprintf "%s: %d instances map to %d spacetime-stamps"
              df.Df.Dataflow.name pairs stamps);
       ]
-
-(* TN011/TN003 on a raw relation (e.g. a hand-written Θ from a file):
-   single-valuedness and injectivity via the relational predicates. *)
-let check_theta_map (m : Isl.Map.t) : D.t list =
-  let out = ref [] in
-  if not (Isl.Map.is_single_valued m) then begin
-    (* witness: first domain point seen with two distinct images *)
-    let tbl = Hashtbl.create 97 in
-    let wit = ref None in
-    (try
-       Isl.Map.iter_pairs
-         (fun src dst ->
-           let key = Array.to_list src in
-           match Hashtbl.find_opt tbl key with
-           | Some d0 when d0 <> Array.to_list dst ->
-               wit := Some (Array.copy src);
-               raise Exit
-           | Some _ -> ()
-           | None -> Hashtbl.add tbl key (Array.to_list dst))
-         m
-     with Exit -> ());
-    out :=
-      D.make "TN011"
-        ?witness:
-          (Option.map
-             (fun p ->
-               D.witness ~space:(Isl.Space.to_string (Isl.Map.dom m)) p)
-             !wit)
-        "the relation maps one instance to several spacetime-stamps"
-      :: !out
-  end;
-  if not (Isl.Map.is_injective m) then
-    out :=
-      D.make "TN003"
-        "the relation is not injective: two instances share a \
-         spacetime-stamp"
-      :: !out;
-  List.rev !out
 
 (* ------------------------------------------------------------------ *)
 (* Schedule causality (TN004).                                         *)
@@ -586,26 +549,11 @@ let check ?(adjacency = `Inner_step) (spec : Arch.Spec.t)
     end
   end
 
-(* The cheap subset used to pre-filter DSE candidates under --strict:
-   syntactic lints, rank and interval bounds — no counting, no witness
-   search. *)
-let precheck (spec : Arch.Spec.t) (op : Ir.Tensor_op.t)
-    (df : Df.Dataflow.t) : D.t list =
-  let pe = spec.Arch.Spec.pe in
-  let lints = check_iterator_names op df in
-  if D.errors lints <> [] then lints
-  else begin
-    let base = lints @ check_unused_iterators op df @ check_rank df pe in
-    if Df.Dataflow.rank_violation df pe <> None then base
-    else base @ check_bounds ~want_witness:false op df pe
-  end
-
-(* Staged [precheck] for the DSE inner loop: one closure per (arch, op)
-   pair answering whether a candidate would pass [precheck] with no
-   error-severity finding — the same verdict as
-   [D.errors (precheck spec op df) = []], with no diagnostic formatting
-   or allocation per candidate.  The conjuncts mirror [precheck]'s
-   short-circuit order: unknown iterators first (the later checks assume
+(* The cheap subset of [check] that pre-filters DSE candidates: whether
+   a candidate escapes TN009 (unknown iterators), TN001 (rank) and TN002
+   (interval bounds), with no counting, witness search or diagnostic per
+   candidate.  One closure per (arch, op) pair.  The conjuncts keep
+   [check]'s order: unknown iterators first (the later checks assume
    resolvable names), then rank, then interval bounds. *)
 let prechecker (spec : Arch.Spec.t) (op : Ir.Tensor_op.t) :
     Df.Dataflow.t -> bool =

@@ -3,7 +3,7 @@
     For a (op, dataflow, architecture) triple, {!check} proves or
     refutes — with a concrete witness point whenever a property fails on
     one — the battery of properties TENET's metrics implicitly assume:
-    Θ single-valuedness and injectivity, space-stamp containment,
+    Θ injectivity, space-stamp containment,
     schedule causality over RAW dependences, interconnect
     well-formedness, reuse feasibility, resource feasibility against
     declared capacities ({!Capacity}), plus empty-domain and
@@ -25,25 +25,14 @@ val check :
     checks pass; the TN019 lint is a CLI concern ({!Capacity.lint}) and
     is never emitted here. *)
 
-val precheck :
-  Tenet_arch.Spec.t ->
-  Tenet_ir.Tensor_op.t ->
-  Tenet_dataflow.Dataflow.t ->
-  D.t list
-(** The cheap subset (no counting, no witness search): iterator-name
-    and rank lints plus space-stamp interval bounds.  Used to pre-filter
-    DSE candidates under [--strict]. *)
-
 val prechecker :
   Tenet_arch.Spec.t -> Tenet_ir.Tensor_op.t -> Tenet_dataflow.Dataflow.t -> bool
-(** Staged {!precheck} for DSE inner loops: the closure answers whether
-    a candidate passes with no error-severity finding — the same verdict
-    as [D.errors (precheck spec op df) = []] — without formatting or
-    allocating diagnostics per candidate. *)
-
-val check_theta_map : Tenet_isl.Map.t -> D.t list
-(** Single-valuedness (TN011) and injectivity (TN003) of a raw
-    spacetime relation, e.g. a hand-written Θ. *)
+(** The cheap subset of {!check} (no counting, no witness search),
+    staged for DSE inner loops: the closure answers whether a candidate
+    escapes the TN009 (unknown iterator), TN001 (rank) and TN002
+    (interval bounds) errors {!check} would report, without formatting
+    or allocating diagnostics per candidate.  The mapper's hard tier and
+    [dse --strict]'s pre-filter. *)
 
 val check_arch : Tenet_arch.Spec.t -> D.t list
 (** Structural well-formedness of the architecture alone (TN005):

@@ -51,8 +51,8 @@ let registry : (string * severity * string * string) list =
       "a space coordinate is constant over the domain while the array \
        dimension is wider than 1" );
     ( "TN011", Error, "theta-not-single-valued",
-      "the dataflow relation maps one instance to several \
-       spacetime-stamps" );
+      "retired: never emitted; it reported a raw spacetime relation \
+       mapping one instance to several stamps" );
     ( "TN012", Error, "count-verify-mismatch",
       "retired: never emitted; it reported the removed counting \
        sanitizer's mismatches" );
@@ -122,8 +122,11 @@ let explanations : (string * string) list =
        while the array dimension is wider than one PE, leaving the rest \
        of that dimension idle." );
     ( "TN011",
-      "A raw spacetime relation (e.g. a hand-written Theta) maps one \
-       instance to several stamps; Theta must be single-valued." );
+      "Retired: no check emits this code, and it will not be reused.  It \
+       reported a raw spacetime relation (a hand-written Theta) that maps \
+       one instance to several stamps.  No command or request builds such \
+       a relation: a dataflow's Theta is single-valued by construction, \
+       and TN003 checks its injectivity." );
     ( "TN012",
       "Retired: no check emits this code, and it will not be reused.  It \
        reported the counting sanitizer, a runtime mode that re-counted \

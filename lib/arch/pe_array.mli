@@ -19,7 +19,6 @@ val dims : t -> int array
 val dim_names : t -> string list
 (** ["p0"; "p1"; ...] — the canonical space-stamp dimension names. *)
 
-val space : t -> Tenet_isl.Space.t
 val domain : t -> Tenet_isl.Set.t
 val in_bounds : t -> int array -> bool
 val to_string : t -> string

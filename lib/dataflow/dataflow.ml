@@ -176,64 +176,13 @@ let injective_by_construction (op : Ir.Tensor_op.t) (df : t) : bool =
   let det = settle String_set.empty in
   List.for_all (fun x -> String_set.mem x det) (Ir.Tensor_op.iter_names op)
 
-(* Θ with a primed copy of the iteration space, for same-space relational
-   checks (cf. the primed output tuples of Interconnect). *)
-let prime v = v ^ "'"
-
-let theta_primed (op : Ir.Tensor_op.t) (df : t) : Isl.Map.t =
-  let iters = Ir.Tensor_op.iter_names op in
-  let primed = List.map prime iters in
-  let dom' =
-    Isl.Space.make (Ir.Tensor_op.space op).Isl.Space.tuple primed
-  in
-  let exprs' = List.map (Isl.Aff.rename prime) (df.space @ df.time) in
-  Isl.Map.intersect_domain
-    (Isl.Map.of_exprs dom' (st_space df) exprs')
-    (Isl.Set.rename_dims primed (Ir.Tensor_op.domain op))
-
-(* A concrete conflicting pair: two lex-ordered instances with the same
-   spacetime-stamp, found by sampling Θ ∘ Θ'⁻¹ below the diagonal. *)
-let conflict_witness (op : Ir.Tensor_op.t) (df : t) :
-    (int array * int array * int array) option =
-  let th = theta op df in
-  let conflicts = Isl.Map.apply_range th (Isl.Map.reverse (theta_primed op df)) in
-  let iters = Array.of_list (Ir.Tensor_op.iter_names op) in
-  let d = Array.length iters in
-  let piece j =
-    let eqs =
-      List.init j (fun e ->
-          Isl.Aff.Sub (Isl.Aff.Var iters.(e), Isl.Aff.Var (prime iters.(e))))
-    in
-    let ges =
-      [
-        Isl.Aff.Sub
-          ( Isl.Aff.Sub (Isl.Aff.Var (prime iters.(j)), Isl.Aff.Var iters.(j)),
-            Isl.Aff.Int 1 );
-      ]
-    in
-    Isl.Map.constrain conflicts ~eqs ~ges
-  in
-  let rec go j =
-    if j >= d then None
-    else
-      match Isl.Set.sample (Isl.Map.wrap (piece j)) with
-      | Some p ->
-          let n = Array.sub p 0 d and n' = Array.sub p d d in
-          let stamp =
-            match Isl.Map.eval th n with Some s -> s | None -> [||]
-          in
-          Some (n, n', stamp)
-      | None -> go (j + 1)
-  in
-  go 0
-
 (* A dataflow is valid on an architecture iff (1) the space-stamp rank
    matches the PE array rank, (2) every instance lands inside the array,
    and (3) no two instances share a spacetime-stamp (each PE has one
    MAC).  [space_violation] renders the first failing fact of (1) and
-   (2) by interval analysis alone; [first_violation] adds (3), which
-   counts Θ with isl.  Callers wanting structured findings with witness
-   points should use [Analysis.Checker.check] instead. *)
+   (2) by interval analysis alone; [first_violation] adds (3): the
+   certificate first, and a count of Θ only when the certificate fails.
+   Each fact has one text, whichever engine finds it. *)
 let space_violation (op : Ir.Tensor_op.t) (df : t) (pe : Arch.Pe_array.t) :
     string option =
   match rank_violation df pe with
@@ -249,17 +198,17 @@ let space_violation (op : Ir.Tensor_op.t) (df : t) (pe : Arch.Pe_array.t) :
                df.name i lo hi extent)
       | None -> None)
 
+let conflict_violation (df : t) : string =
+  Printf.sprintf "%s: two instances share a spacetime-stamp" df.name
+
 let first_violation (op : Ir.Tensor_op.t) (df : t) (pe : Arch.Pe_array.t) :
     string option =
   match space_violation op df pe with
   | Some _ as v -> v
-  | None -> (
-      match conflict_counts op df with
-      | Some (pairs, stamps) ->
-          Some
-            (Printf.sprintf "%s: %d instances map to %d spacetime-stamps"
-               df.name pairs stamps)
-      | None -> None)
+  | None ->
+      if injective_by_construction op df || conflict_counts op df = None then
+        None
+      else Some (conflict_violation df)
 
 let to_string df =
   let s = String.concat ", " (List.map Isl.Aff.to_string df.space) in

@@ -71,22 +71,23 @@ val injective_by_construction : Ir.Tensor_op.t -> t -> bool
     [false] proves nothing (the Eyeriss and MAERI stamps, which scale a
     [mod] term, are injective but not certified). *)
 
-val conflict_witness :
-  Ir.Tensor_op.t -> t -> (int array * int array * int array) option
-(** A concrete conflicting pair: [(n, n', shared stamp)] with [n] lex
-    before [n'], found by sampling [Θ ∘ Θ'⁻¹] off the diagonal. *)
-
 val space_violation : Ir.Tensor_op.t -> t -> Arch.Pe_array.t -> string option
 (** The rank and containment cases of {!first_violation}, with the same
-    texts: interval analysis only, no counting.  For engines that detect
-    spacetime conflicts on their own walk (the simulator). *)
+    texts: interval analysis only, no counting.  For the walkers
+    ([Concrete.analyze_in] and the simulator), which read injectivity
+    off their own pass 1. *)
+
+val conflict_violation : t -> string
+(** The text of the injectivity case of {!first_violation}, for the
+    walkers that find a shared spacetime-stamp on their own pass 1. *)
 
 val first_violation : Ir.Tensor_op.t -> t -> Arch.Pe_array.t -> string option
-(** The first failing validity fact (rank, then containment, then
-    injectivity), rendered as a message — [None] when the dataflow is
-    valid on the array.  A convenience over the primitives above for
-    engine entry points that only need a fail-fast error string; prefer
-    [Analysis.Checker.check] for structured findings (including
-    causality and reuse-feasibility) with concrete witness points. *)
+(** The one validity decision: the first failing fact (rank, then
+    containment, then injectivity), rendered as a message — [None] when
+    the dataflow is valid on the array.  Injectivity is settled by
+    {!injective_by_construction} when it holds and by
+    {!conflict_counts} otherwise.  [Concrete.validate] raises it, with
+    the instance count's range check in front; [Analysis.Checker.check]
+    reports the same facts as structured findings with witnesses. *)
 
 val to_string : t -> string

@@ -27,15 +27,6 @@ val temporal :
   channel
 (** Same PE, next time-stamp: register reuse. *)
 
-val spatial :
-  ?adjacency:adjacency ->
-  Tenet_ir.Tensor_op.t ->
-  Dataflow.t ->
-  Arch.Pe_array.t ->
-  Arch.Interconnect.t ->
-  channel
-(** Interconnected distinct PEs at the topology's transfer interval. *)
-
 val channels :
   ?adjacency:adjacency ->
   Arch.Spec.t ->

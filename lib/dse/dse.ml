@@ -599,8 +599,11 @@ let search_sizes ?(adjacency = `Inner_step) ?(mode = Pruned) ?budget ?seed
                 match tpl with
                 | None -> None
                 | Some tpl -> (
+                    (* a size the gate refuses is refused again, and
+                       counted, by the concrete evaluation below *)
                     try M.Template.try_instantiate tpl ~sizes:sz
-                    with Invalid_argument _ -> None)
+                    with Invalid_argument _ | M.Concrete.Invalid_dataflow _ ->
+                      None)
               in
               match via_template with
               | Some m ->

@@ -61,7 +61,14 @@ let tokenize s =
       while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do
         incr j
       done;
-      emit (INT (int_of_string (String.sub s !i (!j - !i))));
+      let lit = String.sub s !i (!j - !i) in
+      (match int_of_string_opt lit with
+      | Some v -> emit (INT v)
+      | None ->
+          raise
+            (Syntax_error
+               (Printf.sprintf "integer literal %s is past the int range"
+                  lit)));
       i := !j
     end
     else if is_id_start c then begin

@@ -27,7 +27,6 @@ let ( - ) a b = Sub (a, b)
 let ( * ) a b = Mul (a, b)
 let ( / ) a d = Fdiv (a, d)
 let ( % ) a d = Mod (a, d)
-let neg a = Neg a
 
 let rec free_vars = function
   | Var s -> [ s ]

@@ -33,7 +33,6 @@ val ( - ) : t -> t -> t
 val ( * ) : t -> t -> t
 val ( / ) : t -> int -> t
 val ( % ) : t -> int -> t
-val neg : t -> t
 
 val free_vars : t -> string list
 (** Variable names, with duplicates. *)
@@ -78,7 +77,6 @@ val check_affine : dims:string list -> t -> unit
     engine refuses a non-affine input with the same text. *)
 
 val lin_add : lin -> lin -> lin
-val lin_scale : int -> lin -> lin
 
 val to_bset : ctx -> eqs:lin list -> ges:lin list -> Bset.t
 (** Package lowered constraints ([eqs] = 0, [ges] >= 0) together with the

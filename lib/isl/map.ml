@@ -10,7 +10,6 @@ let n_in t = Space.dim t.dom
 let n_out t = Space.dim t.ran
 let disjuncts t = t.disjuncts
 let of_bsets dom ran disjuncts = { dom; ran; disjuncts }
-let empty dom ran = { dom; ran; disjuncts = [] }
 
 let universe dom ran =
   { dom; ran; disjuncts = [ Bset.universe (Space.dim dom + Space.dim ran) ] }
@@ -182,8 +181,3 @@ let constrain ?(eqs = []) ?(ges = []) t =
   let lges = List.map (Aff.lower ctx ~lookup) ges in
   let extra = Aff.to_bset ctx ~eqs:leqs ~ges:lges in
   { t with disjuncts = List.map (fun b -> Bset.meet b extra) t.disjuncts }
-
-let to_string t = Printer.map_to_string t.dom t.ran t.disjuncts
-
-(* Precompiled membership tester over flattened (in, out) pairs. *)
-let mem_fn t = Count.make_mem_union t.disjuncts

@@ -15,7 +15,6 @@ val n_out : t -> int
 
 val of_bsets : Space.t -> Space.t -> Bset.t list -> t
 val disjuncts : t -> Bset.t list
-val empty : Space.t -> Space.t -> t
 val universe : Space.t -> Space.t -> t
 
 val of_exprs : Space.t -> Space.t -> Aff.t list -> t
@@ -73,7 +72,3 @@ val constrain : ?eqs:Aff.t list -> ?ges:Aff.t list -> t -> t
 (** Intersect with quasi-affine constraints over the concatenated
     (domain, range) dimension names; domain names win on collision. *)
 
-val to_string : t -> string
-
-val mem_fn : t -> int array -> bool
-(** Precompiled membership tester over flattened (in, out) pairs. *)

@@ -1,4 +1,4 @@
-(* Rendering of basic sets and relations in ISL-like syntax.
+(* Rendering of sets in ISL-like syntax.
 
    Defined div dimensions are inlined as [floor((...)/d)] expressions;
    free existentials are named [e0, e1, ...] and introduced with
@@ -94,21 +94,6 @@ let set_to_string (sp : Space.t) (ds : Bset.t list) =
         List.map
           (fun b ->
             let body = bset_body sp.Space.dims b in
-            if body = "" then head else head ^ " : " ^ body)
-          ds
-      in
-      "{ " ^ String.concat "; " pieces ^ " }"
-
-let map_to_string (dom : Space.t) (ran : Space.t) (ds : Bset.t list) =
-  let head = tuple_to_string dom ^ " -> " ^ tuple_to_string ran in
-  let names = dom.Space.dims @ ran.Space.dims in
-  match ds with
-  | [] -> Printf.sprintf "{ %s : false }" head
-  | _ ->
-      let pieces =
-        List.map
-          (fun b ->
-            let body = bset_body names b in
             if body = "" then head else head ^ " : " ^ body)
           ds
       in

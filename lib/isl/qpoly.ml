@@ -424,5 +424,3 @@ let to_string_with (name : int -> string) (t : t) : string =
              else if c = Q.one then mono_str m
              else Printf.sprintf "%s*%s" (Q.to_string c) (mono_str m))
            t)
-
-let to_string (t : t) : string = to_string_with (Printf.sprintf "x%d") t

@@ -21,10 +21,6 @@ module Q : sig
   (** [make n d] is the reduced rational [n/d] ([d <> 0]). *)
 
   val of_int : int -> t
-  val zero : t
-  val one : t
-  val compare : t -> t -> int
-  val to_string : t -> string
 end
 
 type lin
@@ -35,7 +31,6 @@ val lin : (int * int) list -> int -> lin
     pairs (any order, duplicates summed) and constant [k]. *)
 
 val lin_scale : int -> lin -> lin
-val lin_add : lin -> lin -> lin
 
 type t
 (** A quasi-polynomial. *)
@@ -91,10 +86,7 @@ val prove_ge : (int -> int * int) -> t -> int -> bool
     (constant folding first, conservative interval arithmetic second).
     [false] means "could not prove", not "false". *)
 
-val to_string : t -> string
-(** Debug rendering (variables print as [x0], [x1], ...). *)
-
 val to_string_with : (int -> string) -> t -> string
-(** Like {!to_string} but with caller-supplied variable names, so
-    parametric metric templates can print closed forms over the
-    workload's own dimension names. *)
+(** A rendering with caller-supplied variable names, so parametric
+    metric templates can print closed forms over the workload's own
+    dimension names. *)

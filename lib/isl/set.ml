@@ -2,12 +2,9 @@
 
 type t = { space : Space.t; disjuncts : Bset.t list }
 
-let space t = t.space
 let dim t = Space.dim t.space
 let of_bsets space disjuncts = { space; disjuncts }
 let disjuncts t = t.disjuncts
-let empty space = { space; disjuncts = [] }
-let universe space = { space; disjuncts = [ Bset.universe (Space.dim space) ] }
 
 let check_space a b =
   if Space.dim a.space <> Space.dim b.space then

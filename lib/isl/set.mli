@@ -7,14 +7,11 @@
 
 type t
 
-val space : t -> Space.t
 val dim : t -> int
 
 val of_bsets : Space.t -> Bset.t list -> t
 val disjuncts : t -> Bset.t list
 
-val empty : Space.t -> t
-val universe : Space.t -> t
 
 val box : Space.t -> (int * int) list -> t
 (** [box space bounds] with inclusive per-dimension [(lo, hi)] bounds. *)

@@ -15,8 +15,6 @@ let index t name =
 
 let concat a b = { tuple = a.tuple ^ b.tuple; dims = a.dims @ b.dims }
 
-let equal a b = String.equal a.tuple b.tuple && List.length a.dims = List.length b.dims
-
 let to_string t =
   t.tuple ^ "[" ^ String.concat ", " t.dims ^ "]"
 

@@ -17,9 +17,6 @@ val index : t -> string -> int
 val concat : t -> t -> t
 (** Concatenate dimension lists (used when wrapping a relation as a set). *)
 
-val equal : t -> t -> bool
-(** Same tuple name and arity. *)
-
 val rename_dims : t -> string list -> t
 (** Replace all dimension names; arity must match. *)
 

@@ -306,6 +306,9 @@ let instance_count (op : Ir.Tensor_op.t) : int =
   code_space "instance space"
     (Array.of_list (List.map Ir.Tensor_op.extent op.Ir.Tensor_op.iters))
 
+(* The most instances a walk enumerates. *)
+let max_instances = 200_000_000
+
 (* Pass 1's result, in arrays of the pool that made it.  Instance i (the
    i-th [iter_instances] visits) has PE key pkey.(i) (-1 outside the
    array); stamp s has time code codes.(s) and runs over the instances
@@ -419,10 +422,83 @@ let conflicting (p : pool) (st : stamps) ~(pe_size : int) : bool =
 let check_conflicts (p : pool) (st : stamps) ~(pe_size : int)
     (df : Df.Dataflow.t) : unit =
   if conflicting p st ~pe_size then
-    raise
-      (Invalid_dataflow
-         (Printf.sprintf "%s: two instances share a spacetime-stamp"
-            df.Df.Dataflow.name))
+    raise (Invalid_dataflow (Df.Dataflow.conflict_violation df))
+
+(* Raise a failing fact's text. *)
+let refuse : string option -> unit =
+  Option.iter (fun msg -> raise (Invalid_dataflow msg))
+
+(* The validity gate (Definition 1 of the paper): [df] on [pe] at [op]'s
+   extents is refused unless its instance count is inside the int range
+   and [Dataflow.first_violation] finds no fact failing (rank,
+   containment, injectivity), each with its one text.  Every entry point
+   that answers for a dataflow at a size goes through it, but for the
+   walkers ([analyze_in], the simulator), which read injectivity off
+   their pass 1 with the same text. *)
+let validate (op : Ir.Tensor_op.t) (df : Df.Dataflow.t) (pe : Arch.Pe_array.t)
+    : unit =
+  ignore (instance_count op);
+  refuse (Df.Dataflow.first_violation op df pe)
+
+(* TN003's witness, read off pass 1: [(n, n', stamp)], the lex-least
+   pair of instances sharing a spacetime-stamp whose first differing
+   iterator is the smallest any such pair has.  Pass 1 runs with the
+   space coordinates appended to the time-stamp, so each run holds the
+   instances of one (time-stamp, PE), ascending, with PEs encoded over
+   the space stamp's interval bounds: instances outside the array keep
+   distinct keys.  The first iterator where a run's first instance and
+   its l-th differ is the least over the consecutive pairs up to l.
+   [None] when [df] is injective, or when the walk refuses [op] (a code
+   space past the int range, or more than [max_instances] instances). *)
+let conflict_pair (op : Ir.Tensor_op.t) (df : Df.Dataflow.t) :
+    (int array * int array * int array) option =
+  let time = df.Df.Dataflow.time in
+  let spacetime =
+    Df.Dataflow.make ~name:df.Df.Dataflow.name ~space:[]
+      ~time:(time @ df.Df.Dataflow.space)
+  in
+  match (instance_count op, compile op spacetime) with
+  | exception Invalid_dataflow _ -> None
+  | n, _ when n > max_instances -> None
+  | n, c ->
+      (* codes agree on iterators 0..i iff their quotients by w.(i) do *)
+      let w = Array.make c.n_iters 1 in
+      for i = c.n_iters - 2 downto 0 do
+        w.(i) <- w.(i + 1) * snd c.iters.(i + 1)
+      done;
+      let first_diff a b =
+        let i = ref 0 in
+        while a / w.(!i) = b / w.(!i) do
+          incr i
+        done;
+        !i
+      in
+      let best = ref (max_int, 0, 0) in
+      with_pool (fun pool ->
+          let st = order_stamps pool c ~pe_base:[||] ~n in
+          let order = st.order in
+          for s = 0 to st.n_stamps - 1 do
+            let first = order.(st.starts.(s)) and low = ref max_int in
+            for j = st.starts.(s) + 1 to st.starts.(s + 1) - 1 do
+              low := min !low (first_diff order.(j - 1) order.(j));
+              best := min !best (!low, first, order.(j))
+            done
+          done);
+      let d, a, b = !best in
+      if d = max_int then None
+      else begin
+        let point i =
+          decode_iters c i c.vals;
+          Array.copy c.vals
+        in
+        let n' = point b in
+        let n = point a in
+        (* [c.vals] holds n: its time-stamp, then its space stamp *)
+        let ts = Array.map (fun f -> f c.vals) c.time_evals in
+        let nt = List.length time in
+        let space = Array.sub ts nt (Array.length ts - nt) in
+        Some (n, n', Array.append space (Array.sub ts 0 nt))
+      end
 
 (* ------------------------------------------------------------------ *)
 (* Reusable evaluation context.                                        *)
@@ -634,7 +710,7 @@ let context ?(adjacency : Df.Spacetime.adjacency = `Inner_step)
   }
 
 let check_size (ctx : ctx) (df : Df.Dataflow.t) : unit =
-  if ctx.x_n_instances > 200_000_000 then
+  if ctx.x_n_instances > max_instances then
     raise
       (Invalid_dataflow
          (Printf.sprintf
@@ -681,24 +757,7 @@ let analyze_in (ctx : ctx) (df : Df.Dataflow.t) : Metrics.t =
   let window = ctx.x_window and validate = ctx.x_validate in
   let pe = spec.Arch.Spec.pe in
   check_size ctx df;
-  (* bounds validation *)
-  if validate then begin
-    if Df.Dataflow.n_space df <> Arch.Pe_array.rank pe then
-      raise
-        (Invalid_dataflow
-           (Printf.sprintf "%s: space rank %d vs array rank %d"
-              df.Df.Dataflow.name (Df.Dataflow.n_space df)
-              (Arch.Pe_array.rank pe)));
-    let dims = Arch.Pe_array.dims pe in
-    List.iteri
-      (fun i (lo, hi) ->
-        if lo < 0 || hi >= dims.(i) then
-          raise
-            (Invalid_dataflow
-               (Printf.sprintf "%s: space dim %d spans [%d,%d] outside [0,%d)"
-                  df.Df.Dataflow.name i lo hi dims.(i))))
-      (Df.Dataflow.space_bounds op df)
-  end;
+  if validate then refuse (Df.Dataflow.space_violation op df pe);
   let c = compile op df in
   with_pool @@ fun pool ->
   let st =

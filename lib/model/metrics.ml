@@ -160,86 +160,6 @@ let to_json (t : t) : Tenet_obs.Json.t =
              t.per_tensor) );
     ]
 
-(* Total inverse of [to_json], so responses cached or shipped over the
-   serve protocol round-trip exactly (floats print via the
-   shortest-exact form in Tenet_obs.Json). *)
-let of_json (j : Tenet_obs.Json.t) : (t, string) result =
-  let module J = Tenet_obs.Json in
-  let ( let* ) = Result.bind in
-  let field name conv j =
-    match J.member name j with
-    | None -> Error (Printf.sprintf "metrics: missing field %S" name)
-    | Some v -> (
-        match conv v with
-        | Some x -> Ok x
-        | None -> Error (Printf.sprintf "metrics: bad field %S" name))
-  in
-  let int_f n = field n J.to_int in
-  let float_f n = field n J.to_float in
-  let str_f n = field n J.to_str in
-  let volumes_of_json v =
-    let* total = int_f "total" v in
-    let* temporal_reuse = int_f "temporal_reuse" v in
-    let* spatial_reuse = int_f "spatial_reuse" v in
-    let* unique = int_f "unique" v in
-    Ok { total; temporal_reuse; spatial_reuse; unique }
-  in
-  let tensor_of_json v =
-    let* tensor = str_f "tensor" v in
-    let* dir = str_f "direction" v in
-    let* direction =
-      match dir with
-      | "in" -> Ok Tenet_ir.Tensor_op.Read
-      | "out" -> Ok Tenet_ir.Tensor_op.Write
-      | d -> Error (Printf.sprintf "metrics: bad direction %S" d)
-    in
-    let* footprint = int_f "footprint" v in
-    let* volumes = field "volumes" Option.some v in
-    let* volumes = volumes_of_json volumes in
-    Ok { tensor; direction; volumes; footprint }
-  in
-  let* dataflow = str_f "dataflow" j in
-  let* n_instances = int_f "n_instances" j in
-  let* n_timestamps = int_f "n_timestamps" j in
-  let* pe_size = int_f "pe_size" j in
-  let* avg_utilization = float_f "avg_utilization" j in
-  let* max_utilization = float_f "max_utilization" j in
-  let* delay_compute = int_f "delay_compute" j in
-  let* delay_read = float_f "delay_read" j in
-  let* delay_write = float_f "delay_write" j in
-  let* latency = float_f "latency" j in
-  let* latency_stamped = float_f "latency_stamped" j in
-  let* ibw = float_f "ibw" j in
-  let* sbw = float_f "sbw" j in
-  let* energy = float_f "energy" j in
-  let* rows = field "per_tensor" J.to_list j in
-  let* per_tensor =
-    List.fold_left
-      (fun acc row ->
-        let* acc = acc in
-        let* tm = tensor_of_json row in
-        Ok (tm :: acc))
-      (Ok []) rows
-  in
-  Ok
-    {
-      dataflow;
-      per_tensor = List.rev per_tensor;
-      n_instances;
-      n_timestamps;
-      pe_size;
-      avg_utilization;
-      max_utilization;
-      delay_compute;
-      delay_read;
-      delay_write;
-      latency;
-      latency_stamped;
-      ibw;
-      sbw;
-      energy;
-    }
-
 let pp_tensor_row fmt tm =
   let v = tm.volumes in
   Format.fprintf fmt

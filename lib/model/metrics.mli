@@ -74,6 +74,3 @@ val volumes_to_json : volumes -> Tenet_obs.Json.t
 val to_json : t -> Tenet_obs.Json.t
 (** Machine-readable form with stable keys (CLI [--json], stats files). *)
 
-val of_json : Tenet_obs.Json.t -> (t, string) result
-(** Total inverse of {!to_json} (the serve protocol and result cache
-    rely on the round-trip being exact, floats included). *)

@@ -10,8 +10,6 @@ module Obs = Tenet_obs
 
 let c_relational = Obs.counter "model.relational_analyses"
 
-exception Invalid_dataflow of string
-
 (* Entry-point note: [analyze] is an engine-level primitive under
    Tenet_serve.Api.run, the one request-level entry point the CLI,
    `tenet batch` and `tenet serve` share.  Request-level callers
@@ -20,7 +18,7 @@ exception Invalid_dataflow of string
 
 (* Per-time-stamp occupancy, shared by utilization and timestamp count:
    walk Θ's pairs once, bucketing instances by time-stamp.  Injectivity
-   (validated separately) makes instances-per-stamp equal active PEs.
+   (the gate's) makes instances-per-stamp equal active PEs.
    Stamps are mixed-radix-encoded into a single int against the
    dataflow's time bounds (every Θ range point evaluates the time
    expressions over the iteration domain, so it lies inside them) —
@@ -43,21 +41,14 @@ let stamp_histogram (th : Isl.Map.t) ~n_space
     th;
   tbl
 
-let analyze ?(adjacency = `Inner_step) ?(validate = true)
-    (spec : Arch.Spec.t) (op : Ir.Tensor_op.t) (df : Df.Dataflow.t) :
-    Metrics.t =
+let analyze ?(adjacency = `Inner_step) (spec : Arch.Spec.t)
+    (op : Ir.Tensor_op.t) (df : Df.Dataflow.t) : Metrics.t =
   Obs.with_span ~args:[ ("dataflow", df.Df.Dataflow.name) ] "model.analyze"
   @@ fun () ->
   Obs.incr c_relational;
-  (* refuse an instance space past the int range before any relation is
-     built: its counts would wrap, and walking its pairs would not end *)
-  (try ignore (Concrete.instance_count op)
-   with Concrete.Invalid_dataflow msg -> raise (Invalid_dataflow msg));
-  if validate then begin
-    match Df.Dataflow.first_violation op df spec.Arch.Spec.pe with
-    | None -> ()
-    | Some msg -> raise (Invalid_dataflow msg)
-  end;
+  (* the gate comes before any relation is built: past the int range the
+     counts would wrap, and walking the pairs would not end *)
+  Concrete.validate op df spec.Arch.Spec.pe;
   let th = Obs.with_span "model.theta" (fun () -> Df.Dataflow.theta op df) in
   let channels =
     Obs.with_span "model.channels" (fun () ->

@@ -7,14 +7,12 @@ module Ir = Tenet_ir
 module Arch = Tenet_arch
 module Df = Tenet_dataflow
 
-exception Invalid_dataflow of string
-
 val analyze :
   ?adjacency:[ `Inner_step | `Lex_step ] ->
-  ?validate:bool ->
   Arch.Spec.t ->
   Ir.Tensor_op.t ->
   Df.Dataflow.t ->
   Metrics.t
-(** Full metrics by relation counting.  Raises {!Invalid_dataflow} when
-    validation fails. *)
+(** Full metrics by relation counting.  Raises
+    {!Concrete.Invalid_dataflow} when [Concrete.validate], the validity
+    gate every engine shares, refuses the dataflow. *)

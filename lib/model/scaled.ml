@@ -49,6 +49,8 @@ let shrink_op = Template.shrink_op
 let analyze ?(adjacency : Df.Spacetime.adjacency = `Inner_step) ?spec_dims
     (spec : Arch.Spec.t) (op : Ir.Tensor_op.t) (df : Df.Dataflow.t)
     ~(scale_dims : string list) : Metrics.t =
+  (* the corners are valid smaller layers; the answer is for this one *)
+  Concrete.validate op df spec.Arch.Spec.pe;
   let template_first () =
     if spec_dims <> None || scale_dims = [] then None
     else

@@ -189,8 +189,6 @@ type t = {
   classes : class_model Class_memo.t;
 }
 
-let params t = Array.to_list t.params
-
 (* Parametric count of the op's iteration domain: a box whose
    param-dim widths are the parameters themselves. *)
 let domain_count (op : Ir.Tensor_op.t) (params : string array) :
@@ -444,9 +442,16 @@ let extents_of (t : t) (sizes : (string * int) list) : int array =
           hi - lo + 1)
     t.params
 
+(* [t]'s op with its params at [extents]. *)
+let resized (t : t) (extents : int array) : Ir.Tensor_op.t =
+  shrink_op t.op
+    (List.mapi (fun i d -> (d, extents.(i))) (Array.to_list t.params))
+
 let try_instantiate (t : t) ~(sizes : (string * int) list) : Metrics.t option
     =
   let extents = extents_of t sizes in
+  (* a fit made at valid sample extents says nothing of these *)
+  Concrete.validate (resized t extents) t.df t.spec.Arch.Spec.pe;
   match class_of t extents with
   | None | Some Unfit ->
       Obs.incr c_fallbacks;
@@ -469,12 +474,8 @@ let instantiate (t : t) ~(sizes : (string * int) list) : Metrics.t =
   match try_instantiate t ~sizes with
   | Some m -> m
   | None ->
-      let extents = extents_of t sizes in
-      let assignment =
-        List.mapi (fun i d -> (d, extents.(i))) (Array.to_list t.params)
-      in
       Concrete.analyze ~adjacency:t.adjacency ~window:t.window t.spec
-        (shrink_op t.op assignment)
+        (resized t (extents_of t sizes))
         t.df
 
 let closed_forms (t : t) ~(sizes : (string * int) list) :

@@ -41,16 +41,17 @@ val compile :
     if a param is not an iterator of [op] or appears twice.  The
     optional arguments match {!Concrete.analyze}. *)
 
-val params : t -> string list
-(** The parameter names, in the order [compile] received them. *)
-
 val try_instantiate : t -> sizes:(string * int) list -> Metrics.t option
 (** [try_instantiate t ~sizes] answers the metrics at the given extents
     (params absent from [sizes] keep the op's own extent) purely by
     substitution, or [None] when this size resists the template (the
     caller should fall back to a concrete analysis).  Raises
     [Invalid_argument] for names that are not parameters or extents
-    [< 1]. *)
+    [< 1], and {!Concrete.Invalid_dataflow} when the validity gate
+    ([Concrete.validate]) refuses the dataflow at these extents: a fit
+    certified at valid sample extents says nothing of an instance count
+    past the int range, a space stamp leaving the array or a shared
+    stamp at the requested ones. *)
 
 val instantiate : t -> sizes:(string * int) list -> Metrics.t
 (** [try_instantiate] with the concrete-engine fallback applied: always

@@ -569,7 +569,7 @@ let error_of_exn : exn -> Response.error_kind * string = function
       (Response.Bad_request, "non-affine expression: " ^ msg)
   | Ir.Cfront.Syntax_error msg ->
       (Response.Bad_request, "C syntax error: " ^ msg)
-  | M.Concrete.Invalid_dataflow msg | M.Model.Invalid_dataflow msg ->
+  | M.Concrete.Invalid_dataflow msg ->
       (Response.Bad_request, "invalid dataflow: " ^ msg)
   | Failure msg | Invalid_argument msg | Sys_error msg ->
       (Response.Internal, msg)
@@ -1131,8 +1131,9 @@ let run_volumes ~token (r : Request.t) : Response.body =
   let op = op_of r in
   let spec = arch_of r in
   let df = dataflow_of r op in
-  (* volumes past the int range would wrap: refuse as the engines do *)
-  ignore (M.Concrete.instance_count op);
+  (* volumes past the int range would wrap, and an invalid dataflow's
+     volumes mean nothing: refuse as the engines do *)
+  M.Concrete.validate op df spec.Arch.Spec.pe;
   let all = Ir.Tensor_op.tensors op in
   let wanted =
     match r.Request.tensors with
@@ -1206,10 +1207,7 @@ let run_dse ~token (r : Request.t) : Response.body =
       ( "evaluate",
         fun () ->
           let prefilter =
-            if r.Request.strict then
-              Some
-                (fun df ->
-                  An.Diagnostic.errors (An.Checker.precheck spec op df) = [])
+            if r.Request.strict then Some (An.Checker.prechecker spec op)
             else None
           in
           let mode =

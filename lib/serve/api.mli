@@ -215,18 +215,6 @@ val set_extra_gauges : (unit -> (string * int) list) -> unit
     inflight gauge (and any future integer gauges) in both the JSON
     payload and the Prometheus exposition. *)
 
-(** {2 Stats exporter}
-
-    The JSON encoding behind the [stats] command.  Its Prometheus
-    encoding is a [stats] request with [format] [prometheus]. *)
-
-val stats_payload : unit -> Json.t
-(** The JSON stats payload: result cache, pool, queue (depth, overload
-    count, queue-wait quantiles), the recent window (rates and window
-    quantiles since the previous JSON scrape — absent on the first
-    scrape), and the full telemetry dump.  Each call advances the
-    window. *)
-
 (** {2 Model-input builders}
 
     The request-to-model translation, shared with the CLI's simulate

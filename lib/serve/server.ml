@@ -225,9 +225,11 @@ let run (cfg : Config.t) : unit =
   Config.validate cfg;
   enter ();
   (match cfg.Config.access_log with
-  | Some path when cfg.Config.workers = 1 ->
-      (* fleet workers configure their own per-process sinks *)
-      Access_log.configure ~sample:cfg.Config.access_log_sample path
+  | Some path when cfg.Config.workers = 1 -> (
+      (* fleet workers configure their own per-process sinks; a path
+         that cannot be opened is the client's mistake *)
+      try Access_log.configure ~sample:cfg.Config.access_log_sample path
+      with Sys_error msg -> raise (Api.Bad msg))
   | Some _ | None -> ());
   load_persistent cfg;
   match cfg.Config.socket with

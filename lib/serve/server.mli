@@ -22,7 +22,8 @@ val run : Config.t -> unit
     [cache_dir] set, the persistent result cache is loaded first
     (pre-fork: workers inherit it warm) and merged back to disk when a
     session ends.  Raises [Failure] on an invalid config
-    ({!Config.validate}). *)
+    ({!Config.validate}), and [Api.Bad] when the in-process access log
+    cannot be opened. *)
 
 val run_batch : Config.t -> in_channel -> out_channel -> unit
 (** Evaluate every JSON-lines request (blank and ['#'] lines skipped)

@@ -140,12 +140,11 @@ let run ?(window = 1) ?trace (spec : Arch.Spec.t) (op : Ir.Tensor_op.t)
   @@ fun () ->
   Obs.incr c_runs;
   let pe = spec.Arch.Spec.pe in
-  (* every PE coordinate must exist: the machine state is indexed by PE *)
-  (match Df.Dataflow.space_violation op df pe with
-  | Some msg -> raise (C.Invalid_dataflow msg)
-  | None -> ());
-  let c = C.compile op df in
+  (* the gate's facts in its order, injectivity off pass 1 below; every
+     PE coordinate must exist: the machine state is indexed by PE *)
   let n = C.instance_count op in
+  C.refuse (Df.Dataflow.space_violation op df pe);
+  let c = C.compile op df in
   let pe_base = Array.map (fun d -> (0, d)) (Arch.Pe_array.dims pe) in
   let pe_size = Arch.Pe_array.size pe in
   C.with_pool @@ fun pool ->

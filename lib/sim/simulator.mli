@@ -79,11 +79,11 @@ val run :
     that keeps it must copy it.
 
     Raises {!Tenet_model.Concrete.Invalid_dataflow} before simulating
-    when the space stamp's rank is not the PE array's or a space
-    coordinate leaves the array (the texts of
-    {!Tenet_dataflow.Dataflow.space_violation}), when a time-stamp or
-    element code space or the instance count is past the int range,
-    and when two instances share a spacetime-stamp. *)
+    when [Concrete.validate] would, with its texts, in its order: the
+    instance count is past the int range, the space stamp's rank is not
+    the PE array's, a space coordinate leaves the array, or two
+    instances share a spacetime-stamp (read off pass 1).  It also raises
+    it when a time-stamp or element code space is past the int range. *)
 
 val to_string : result -> string
 

@@ -23,8 +23,4 @@ let compare_lex a b =
   in
   go 0
 
-let hash a = Hashtbl.hash (Array.to_list a)
 let equal a b = Array.length a = Array.length b && compare_lex a b = 0
-
-let to_string a =
-  "[" ^ String.concat "," (Array.to_list (Array.map string_of_int a)) ^ "]"

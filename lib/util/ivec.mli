@@ -14,6 +14,4 @@ val is_zero : int array -> bool
 val compare_lex : int array -> int array -> int
 (** Lexicographic comparison; arrays must have equal length. *)
 
-val hash : int array -> int
 val equal : int array -> int array -> bool
-val to_string : int array -> string

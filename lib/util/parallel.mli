@@ -52,9 +52,6 @@ val token : ?deadline_s:float -> unit -> token
 val cancelled : token -> bool
 (** Whether the token's deadline has passed. *)
 
-val now : unit -> float
-(** The scheduler clock (wall-clock seconds by default). *)
-
 val set_time_source : (unit -> float) -> unit
 (** Inject a fake clock so deadline expiry is deterministic in tests. *)
 

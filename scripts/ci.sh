@@ -243,6 +243,16 @@ awk -v floor="$r2" '
 grep -q '"queue_wait_ms"' "$obs_dir/access.jsonl" \
   || { echo "access log has no queue_wait_ms field"; exit 1; }
 echo "access log OK ($(wc -l <"$obs_dir/access.jsonl") lines)"
+# An access log the server cannot open is the client's mistake: exit 2.
+status=0
+dune exec -- tenet serve --access-log "$obs_dir/missing/access.jsonl" \
+    </dev/null >/dev/null 2>"$obs_dir/missing.err" || status=$?
+if [ "$status" -ne 2 ]; then
+  cat "$obs_dir/missing.err"
+  echo "tenet serve --access-log in a missing directory: exit $status (want 2)"
+  exit 1
+fi
+echo "rejected: $(cat "$obs_dir/missing.err")"
 
 echo "== persistent cache: cold restart replays the golden batch =="
 # First run populates the on-disk tier; a fresh process with cold memory
@@ -349,6 +359,13 @@ engine_rejects simulate --sizes 1073741824,1073741824,8 --space 'i%8,j%8' \
   --time 'i/8,j/8,k'
 engine_rejects analyze --kernel conv --sizes 8192,8192,8192,8192,128,128 \
   --space 'k%8,c%8' --time 'k/8,c/8,ox,oy,rx,ry'
+# Valid at every size a template or the interpolant samples, invalid at
+# the requested one: every path answers for the requested size.
+for how in "volumes" "analyze --params k" "analyze --scale-dims k"; do
+  # shellcheck disable=SC2086  # $how is a command and its flags
+  engine_rejects $how --sizes 4,4,100 --arch systolic-64x1 --space k \
+    --time i,j
+done
 wide_time="2147483648*k,2147483648*i,2147483648*j"
 cat >"$tmp_root/wide_element.c" <<'EOF_C'
 for (i = 0; i < 4; i++)

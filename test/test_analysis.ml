@@ -426,38 +426,14 @@ let test_tn010_degenerate () =
   (* warnings only: the dataflow is still valid *)
   check_int "no errors" 0 (List.length (An.Diagnostic.errors ds))
 
-(* --- TN011: raw relation not single-valued ------------------------- *)
-
-let test_tn011_not_single_valued () =
-  let sp = Isl.Space.make "S" [ "i" ] in
-  let st = Isl.Space.make "ST" [ "t" ] in
-  let dom = P.set "{ S[i] : 0 <= i < 4 }" in
-  let m1 = Isl.Map.intersect_domain (Isl.Map.of_exprs sp st [ Isl.Aff.Var "i" ]) dom in
-  let m2 =
-    Isl.Map.intersect_domain
-      (Isl.Map.of_exprs sp st [ Isl.Aff.Add (Isl.Aff.Var "i", Isl.Aff.Int 1) ])
-      dom
-  in
-  let ds = An.Checker.check_theta_map (Isl.Map.union m1 m2) in
-  let d = find_code "TN011" ds in
-  ignore (witness_of d);
-  (* i -> i+1 and i+1 -> i+1 also collide *)
-  ignore (find_code "TN003" ds);
-  (* a well-formed theta checks clean *)
-  check_int "clean theta" 0
-    (List.length (An.Checker.check_theta_map m1))
-
 (* --- precheck, JSON, registry -------------------------------------- *)
 
 let test_precheck_cheap () =
   let op = Ir.Kernels.gemm ~ni:16 ~nj:16 ~nk:16 in
   let spec = Arch.Repository.find "tpu-8x8-systolic" in
-  let bad = Df.Zoo.gemm_ij_p_ijk_t ~p:9 () in
-  let good = Df.Zoo.gemm_ij_p_ijk_t () in
-  check_bool "rejects oob" true
-    (An.Diagnostic.errors (An.Checker.precheck spec op bad) <> []);
-  check_int "accepts valid" 0
-    (List.length (An.Checker.precheck spec op good))
+  let pc = An.Checker.prechecker spec op in
+  check_bool "rejects oob" false (pc (Df.Zoo.gemm_ij_p_ijk_t ~p:9 ()));
+  check_bool "accepts valid" true (pc (Df.Zoo.gemm_ij_p_ijk_t ()))
 
 let test_diagnostic_json () =
   let d =
@@ -793,8 +769,6 @@ let () =
           Alcotest.test_case "TN009 unknown iterator" `Quick
             test_tn009_unknown_iterator;
           Alcotest.test_case "TN010 degenerate" `Quick test_tn010_degenerate;
-          Alcotest.test_case "TN011 not single-valued" `Quick
-            test_tn011_not_single_valued;
         ] );
       ( "api",
         [

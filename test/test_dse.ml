@@ -326,18 +326,22 @@ let test_search_deterministic_across_jobs () =
       Alcotest.(check string) "jobs 1 = jobs 4" d1 d4)
     [ Dse.Exhaustive; Dse.Pruned; Dse.Heuristic ]
 
-let test_prechecker_matches_precheck () =
-  (* the staged prechecker used as the mapper's hard tier must agree
-     with the diagnostic-producing precheck on every candidate *)
+let test_prechecker_matches_check () =
+  (* the staged prechecker used as the mapper's hard tier must pass
+     exactly the candidates the full checker finds no TN001, TN002 or
+     TN009 error in *)
   let module An = Tenet.Analysis in
+  let cheap = [ "TN001"; "TN002"; "TN009" ] in
   List.iter
-    (fun (name, spec, op, _, cands) ->
+    (fun (name, spec, op, adjacency, cands) ->
       let pc = An.Checker.prechecker spec op in
       List.iter
         (fun df ->
           check_bool
             (Printf.sprintf "%s: %s" name df.Df.Dataflow.name)
-            (An.Diagnostic.errors (An.Checker.precheck spec op df) = [])
+            (List.for_all
+               (fun d -> not (List.mem d.An.Diagnostic.code cheap))
+               (An.Diagnostic.errors (An.Checker.check ~adjacency spec op df)))
             (pc df))
         cands)
     (mapper_subjects ())
@@ -711,8 +715,8 @@ let () =
             test_heuristic_finds_best;
           Alcotest.test_case "deterministic across jobs" `Quick
             test_search_deterministic_across_jobs;
-          Alcotest.test_case "prechecker = precheck" `Quick
-            test_prechecker_matches_precheck;
+          Alcotest.test_case "prechecker = no TN001, TN002 or TN009 from check"
+            `Quick test_prechecker_matches_check;
           Alcotest.test_case "stats partition" `Quick test_search_stats_add_up;
           Alcotest.test_case "wide-time candidate invalid" `Quick
             test_wide_time_candidate_invalid;

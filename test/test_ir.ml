@@ -152,6 +152,16 @@ let test_cfront_errors () =
     (fails "for (i = 0; j < 4; i++) Y[i] += A[i];");
   check_bool "missing semicolon" true
     (fails "for (i = 0; i < 4; i++) Y[i] += A[i]");
+  (* a literal past the int range is the client's mistake, not a lexer
+     failure *)
+  (match
+     Ir.Cfront.parse "for (i = 0; i < 99999999999999999999; i++) Y[i] += A[i];"
+   with
+  | _ -> Alcotest.fail "a loop bound past the int range accepted"
+  | exception Ir.Cfront.Syntax_error m ->
+      Alcotest.(check string)
+        "bound past the int range"
+        "integer literal 99999999999999999999 is past the int range" m);
   (* a divisor must be a positive literal, and a subscript quasi-affine:
      the engines would otherwise crash on the divisor, or evaluate a
      subscript the relational engine refuses *)

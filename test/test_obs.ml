@@ -495,7 +495,7 @@ let test_engines_record () =
     (Obs.value (Obs.counter "count.bset_calls") > 0);
   check_int "concrete.analyses" 1 (Obs.value (Obs.counter "concrete.analyses"));
   (* relational engine: counts every volume relation *)
-  ignore (M.Model.analyze ~validate:false spec op df);
+  ignore (M.Model.analyze spec op df);
   check_int "model.relational_analyses" 1
     (Obs.value (Obs.counter "model.relational_analyses"));
   check_bool "count.points_enumerated > 0" true

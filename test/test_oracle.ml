@@ -374,6 +374,18 @@ let template_check params (s : An.Checker.subject) ext =
   | None ->
       incr rung3_refused;
       None
+  | exception M.Concrete.Invalid_dataflow msg -> (
+      incr rung3_refused;
+      (* the gate must refuse what the concrete engine refuses, with
+         its text *)
+      let fast = "invalid dataflow: " ^ msg in
+      match M.Concrete.analyze spec op df with
+      | _ -> Some { what = "validity"; fast; reference = "metrics" }
+      | exception M.Concrete.Invalid_dataflow msg' ->
+          if String.equal msg msg' then None
+          else
+            Some
+              { what = "validity"; fast; reference = "invalid dataflow: " ^ msg' })
   | Some fast -> (
       incr rung3_instantiated;
       let fast = M.Metrics.to_json fast in

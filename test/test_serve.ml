@@ -385,8 +385,10 @@ let test_admission_counters () =
 
 (* --- metrics codec --- *)
 
-(* Canonical round-trip: of_json inverts to_json, and re-serializing
-   gives the same bytes (what cache-hit determinism rests on). *)
+(* Canonical bytes: parsing a metrics body and printing it again gives
+   the same bytes.  The disk tier rests on this: it keeps a cached body
+   only when its bytes re-encode so, and a hit is printed through the
+   parsed value. *)
 let test_metrics_roundtrip () =
   List.iter
     (fun (s : An.Checker.subject) ->
@@ -395,11 +397,7 @@ let test_metrics_roundtrip () =
           s.An.Checker.s_df
       in
       let str = Json.to_string (M.Metrics.to_json m) in
-      match M.Metrics.of_json (Json.parse str) with
-      | Error msg -> Alcotest.fail msg
-      | Ok m' ->
-          check_string "canonical bytes" str
-            (Json.to_string (M.Metrics.to_json m')))
+      check_string "canonical bytes" str (Json.to_string (Json.parse str)))
     (match An.Checker.zoo_subjects () with
     | a :: b :: c :: d :: _ -> [ a; b; c; d ]
     | l -> l)
@@ -896,6 +894,15 @@ let test_expression_errors_bad_request () =
   expect "literal past the int range"
     (stamp ~time:"i/9223372036854775807,j/8,k" "big")
     ~prefix:parse;
+  expect "C loop bound past the int range"
+    {
+      (stamp "cbig") with
+      Api.Request.c_source =
+        Some
+          "for (i = 0; i < 99999999999999999999; i++) for (j = 0; j < 8; \
+           j++) for (k = 0; k < 8; k++) Y[i][j] += A[i][k] * B[k][j];";
+    }
+    ~prefix:"C syntax error: integer literal";
   List.iter
     (fun time ->
       List.iter
@@ -912,6 +919,76 @@ let test_expression_errors_bad_request () =
           ("relational", stamp ~engine:`Relational ~time "nr");
         ])
     [ "i/8,j/8,k*k"; "i/8,j/8,abs(k)" ]
+
+(* One validity gate: each invalid dataflow is refused with the same
+   message by every request path that answers for it at its size —
+   the concrete and relational engines, a params template, scale_dims
+   and volumes — and never with an ok the result cache would keep, so
+   each request goes twice. *)
+let test_validity_gate () =
+  List.iter
+    (fun (case, arch, sizes, space, time, reason) ->
+      let req ?(cmd = Api.Request.Analyze) ?(engine = `Concrete)
+          ?(params = []) ?(scale_dims = []) path =
+        {
+          (Api.Request.default cmd) with
+          Api.Request.id = case ^ " " ^ path;
+          arch;
+          sizes;
+          space;
+          time;
+          engine;
+          params;
+          scale_dims;
+        }
+      in
+      let message = "invalid dataflow: (request): " ^ reason in
+      List.iter
+        (fun r ->
+          for _ = 1 to 2 do
+            match Api.run r with
+            | {
+             Api.Response.body = { Api.Response.error = Some (kind, msg); _ };
+             _;
+            } ->
+                check_string (r.Api.Request.id ^ ": kind") "bad_request"
+                  (Api.Response.error_kind_to_string kind);
+                check_string r.Api.Request.id message msg
+            | _ -> Alcotest.failf "%s: expected a refusal" r.Api.Request.id
+          done)
+        [
+          req "concrete";
+          req ~engine:`Relational "relational";
+          req ~params:[ "k" ] "params";
+          req ~scale_dims:[ "k" ] "scale_dims";
+          req ~cmd:Api.Request.Volumes "volumes";
+        ])
+    [
+      ( "rank",
+        "tpu-8x8-systolic",
+        [ 16; 16; 16 ],
+        "i%8",
+        "i/8,j,k",
+        "space-stamp rank 1 vs PE array rank 2" );
+      ( "containment",
+        "tpu-8x8-systolic",
+        [ 16; 8; 8 ],
+        "i%16,j%8",
+        "i/16,j/8,k",
+        "space dim 0 spans [0, 15] outside [0, 8)" );
+      ( "conflict",
+        "tpu-8x8-systolic",
+        [ 8; 8; 8 ],
+        "i%8,j%8",
+        "j",
+        "two instances share a spacetime-stamp" );
+      ( "containment at full size",
+        "systolic-64x1",
+        [ 4; 4; 100 ],
+        "k",
+        "i,j",
+        "space dim 0 spans [0, 99] outside [0, 64)" );
+    ]
 
 (* --- the pool: a raising task must not kill its worker --- *)
 
@@ -1288,6 +1365,20 @@ let test_access_log () =
       Access_log.disable ();
       check_int "half the requests logged" 2 (List.length (read_lines path)))
 
+(* An access log the server cannot open is the client's path: a
+   bad_request (CLI exit 2), raised before any request is read. *)
+let test_access_log_unopenable () =
+  let dir = Filename.temp_file "tenet_missing" "" in
+  Sys.remove dir;
+  let cfg =
+    { Config.default with Config.access_log = Some (Filename.concat dir "x.log") }
+  in
+  match Server.run cfg with
+  | () -> Alcotest.fail "an access log in a missing directory opened"
+  | exception e ->
+      let kind, _ = Api.error_of_exn e in
+      check_int "exit code" 2 (Api.Response.error_exit_code kind)
+
 let test_request_trace_exemplar () =
   if not (Obs.enabled ()) then Obs.enable ();
   (* the store keeps the K slowest traced requests, so slower requests
@@ -1378,6 +1469,8 @@ let () =
             test_wide_codes_bad_request;
           Alcotest.test_case "expression errors are bad requests" `Quick
             test_expression_errors_bad_request;
+          Alcotest.test_case "one validity gate for every path" `Quick
+            test_validity_gate;
         ] );
       ( "pool",
         [
@@ -1409,6 +1502,8 @@ let () =
           Alcotest.test_case "queue wait recorded" `Quick
             test_queue_wait_recorded;
           Alcotest.test_case "access log" `Quick test_access_log;
+          Alcotest.test_case "unopenable access log is a bad request" `Quick
+            test_access_log_unopenable;
           Alcotest.test_case "request trace exemplar" `Quick
             test_request_trace_exemplar;
         ] );
