@@ -207,7 +207,24 @@ let test_tn003_conflict () =
   let n' = Array.sub w.An.Diagnostic.wpoint 3 3 in
   check_bool "distinct" true (n <> n');
   let th = Df.Dataflow.theta op df in
-  check_bool "same stamp" true (Isl.Map.eval th n = Isl.Map.eval th n')
+  check_bool "same stamp" true (Isl.Map.eval th n = Isl.Map.eval th n');
+  (* the witness is read off pass 1, so there is none where pass 1
+     refuses the op: a time-stamp code space past the int range, or more
+     instances than a walk enumerates (TN003 keeps its message) *)
+  let wide =
+    Df.Dataflow.make ~name:"wide"
+      ~space:Isl.Aff.[ Mod (Var "i", 2) ]
+      ~time:
+        Isl.Aff.
+          [ Mul (Int (1 lsl 40), Var "j"); Mul (Int (1 lsl 40), Var "k") ]
+  in
+  check_bool "no pair past the int range" true
+    (Tenet.Model.Concrete.conflict_pair op wide = None);
+  check_bool "no pair past the walk cap" true
+    (Tenet.Model.Concrete.conflict_pair
+       (Ir.Kernels.gemm ~ni:1024 ~nj:1024 ~nk:256)
+       df
+    = None)
 
 (* --- TN004: causality, with witness dependence pair ---------------- *)
 

@@ -715,8 +715,8 @@ let () =
             test_heuristic_finds_best;
           Alcotest.test_case "deterministic across jobs" `Quick
             test_search_deterministic_across_jobs;
-          Alcotest.test_case "prechecker = no TN001, TN002 or TN009 from check"
-            `Quick test_prechecker_matches_check;
+          Alcotest.test_case "prechecker = check's TN001, TN002, TN009" `Quick
+            test_prechecker_matches_check;
           Alcotest.test_case "stats partition" `Quick test_search_stats_add_up;
           Alcotest.test_case "wide-time candidate invalid" `Quick
             test_wide_time_candidate_invalid;
