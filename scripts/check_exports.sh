@@ -9,7 +9,8 @@
 #     `module C = Tenet_model.Concrete` and then `C.analyze`;
 #   - bare, `name`, in a file that opens the module (`open Notation`, as
 #     lib/maestro/maestro_zoo.ml does, or a local `Aff.( ... )`).
-# So another module's value of the same name (`Request.of_json` for
+# A val inside `module X : sig ... end` is qualified by `X`.  So another
+# module's value of the same name (`Request.of_json` for
 # `Metrics.of_json`) is no caller.  Operators such as `val ( + )` are
 # not checked.  Prints each offender as `path: name` and exits 1 if
 # there is any.  Run from anywhere; it scans the repository it sits in.
@@ -28,7 +29,11 @@ sources=$(find lib bin bench examples perfbench test \
 # character literals inside them; "..." strings; {|...|} and {id|...|id}
 # quoted strings; character literals such as '"'.
 strip='
-BEGIN { depth = 0; str = 0; quote = ""; q = "\047" }
+BEGIN {
+  depth = 0; str = 0; quote = ""; q = "\047"
+  esc = "[^0-9xo]|[0-9][0-9][0-9]|x[0-9a-fA-F][0-9a-fA-F]|o[0-7][0-7][0-7]"
+  charlit = "^" q "([^\\\\" q "]|\\\\(" esc "))" q
+}
 {
   line = $0; out = ""; n = length(line); i = 1
   while (i <= n) {
@@ -44,7 +49,7 @@ BEGIN { depth = 0; str = 0; quote = ""; q = "\047" }
         if (c == "\"") { str = 0; if (depth == 0) out = out "\"\"" }
         i++
       }
-    } else if (c == q && match(rest, "^" q "([^\\\\" q "]|\\\\([^0-9xo]|[0-9][0-9][0-9]|x[0-9a-fA-F][0-9a-fA-F]|o[0-7][0-7][0-7]))" q)) {
+    } else if (c == q && match(rest, charlit)) {
       if (depth == 0) out = out q q
       i += RLENGTH
     } else if (substr(line, i, 2) == "(*") { depth++; i += 2 }

@@ -341,7 +341,8 @@ let test_prechecker_matches_check () =
             (Printf.sprintf "%s: %s" name df.Df.Dataflow.name)
             (List.for_all
                (fun d -> not (List.mem d.An.Diagnostic.code cheap))
-               (An.Diagnostic.errors (An.Checker.check ~adjacency spec op df)))
+               (An.Diagnostic.errors
+                  (An.Checker.check ~adjacency spec op df)))
             (pc df))
         cands)
     (mapper_subjects ())

@@ -385,7 +385,11 @@ let template_check params (s : An.Checker.subject) ext =
           if String.equal msg msg' then None
           else
             Some
-              { what = "validity"; fast; reference = "invalid dataflow: " ^ msg' })
+              {
+                what = "validity";
+                fast;
+                reference = "invalid dataflow: " ^ msg';
+              })
   | Some fast -> (
       incr rung3_instantiated;
       let fast = M.Metrics.to_json fast in

@@ -1370,9 +1370,8 @@ let test_access_log () =
 let test_access_log_unopenable () =
   let dir = Filename.temp_file "tenet_missing" "" in
   Sys.remove dir;
-  let cfg =
-    { Config.default with Config.access_log = Some (Filename.concat dir "x.log") }
-  in
+  let log = Filename.concat dir "x.log" in
+  let cfg = { Config.default with Config.access_log = Some log } in
   match Server.run cfg with
   | () -> Alcotest.fail "an access log in a missing directory opened"
   | exception e ->
