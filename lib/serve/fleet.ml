@@ -87,6 +87,10 @@ let check_forkable () =
 (* The child side: a sequential request loop on the inherited fd.  EOF
    from the parent is the shutdown signal — persist the cache slice,
    then exit.  Never returns. *)
+(* Worker [idx]'s access log: one sink per worker — concurrent appends
+   from sibling processes would interleave partial lines. *)
+let worker_log (path : string) (idx : int) = Printf.sprintf "%s.w%d" path idx
+
 let worker_main (cfg : Config.t) (idx : int) (fd : Unix.file_descr) : 'a =
   let status = ref 0 in
   (try
@@ -97,10 +101,8 @@ let worker_main (cfg : Config.t) (idx : int) (fd : Unix.file_descr) : 'a =
      if not (Obs.enabled ()) then Obs.enable ();
      (match cfg.Config.access_log with
      | Some path ->
-         (* one sink per worker — concurrent appends from sibling
-            processes would interleave partial lines *)
          Access_log.configure ~sample:cfg.Config.access_log_sample
-           (Printf.sprintf "%s.w%d" path idx)
+           (worker_log path idx)
      | None -> ());
      let ic = Unix.in_channel_of_descr fd in
      let oc = Unix.out_channel_of_descr fd in
@@ -130,6 +132,16 @@ let worker_main (cfg : Config.t) (idx : int) (fd : Unix.file_descr) : 'a =
   exit !status
 
 let create (cfg : Config.t) : t =
+  (* an access log a worker cannot open is the client's mistake: refuse
+     it before any worker starts and dies on it *)
+  Option.iter
+    (fun path ->
+      for i = 0 to cfg.Config.workers - 1 do
+        let log = worker_log path i in
+        try close_out (open_out_gen [ Open_append; Open_creat ] 0o644 log)
+        with Sys_error msg -> raise (Api.Bad msg)
+      done)
+    cfg.Config.access_log;
   check_forkable ();
   (* Buffered output copied into children would be flushed twice. *)
   flush stdout;

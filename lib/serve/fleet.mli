@@ -28,7 +28,9 @@ type t
 val create : Config.t -> t
 (** Fork [Config.workers] workers.  Must run before any domain is
     spawned; raises [Failure] with an explanatory message if the
-    parallel pool already started. *)
+    parallel pool already started, and [Api.Bad] before forking when a
+    worker's access log ([access_log] with [.w<i>] appended) cannot be
+    opened. *)
 
 val worker_pids : t -> int list
 (** The workers' process ids, in creation order (tests kill them). *)

@@ -243,16 +243,21 @@ awk -v floor="$r2" '
 grep -q '"queue_wait_ms"' "$obs_dir/access.jsonl" \
   || { echo "access log has no queue_wait_ms field"; exit 1; }
 echo "access log OK ($(wc -l <"$obs_dir/access.jsonl") lines)"
-# An access log the server cannot open is the client's mistake: exit 2.
-status=0
-dune exec -- tenet serve --access-log "$obs_dir/missing/access.jsonl" \
-    </dev/null >/dev/null 2>"$obs_dir/missing.err" || status=$?
-if [ "$status" -ne 2 ]; then
-  cat "$obs_dir/missing.err"
-  echo "tenet serve --access-log in a missing directory: exit $status (want 2)"
-  exit 1
-fi
-echo "rejected: $(cat "$obs_dir/missing.err")"
+# An access log the server cannot open is the client's mistake: exit 2,
+# in-process and before a fleet forks.
+for workers in 1 2; do
+  status=0
+  dune exec -- tenet serve --workers "$workers" \
+      --access-log "$obs_dir/missing/access.jsonl" \
+      </dev/null >/dev/null 2>"$obs_dir/missing.err" || status=$?
+  if [ "$status" -ne 2 ]; then
+    cat "$obs_dir/missing.err"
+    echo "tenet serve --workers $workers --access-log in a missing" \
+      "directory: exit $status (want 2)"
+    exit 1
+  fi
+  echo "rejected: $(cat "$obs_dir/missing.err")"
+done
 
 echo "== persistent cache: cold restart replays the golden batch =="
 # First run populates the on-disk tier; a fresh process with cold memory

@@ -1366,17 +1366,26 @@ let test_access_log () =
       check_int "half the requests logged" 2 (List.length (read_lines path)))
 
 (* An access log the server cannot open is the client's path: a
-   bad_request (CLI exit 2), raised before any request is read. *)
+   bad_request (CLI exit 2), raised before any request is read, and by
+   a fleet before it forks a worker that would die on it. *)
 let test_access_log_unopenable () =
   let dir = Filename.temp_file "tenet_missing" "" in
   Sys.remove dir;
   let log = Filename.concat dir "x.log" in
-  let cfg = { Config.default with Config.access_log = Some log } in
-  match Server.run cfg with
-  | () -> Alcotest.fail "an access log in a missing directory opened"
-  | exception e ->
-      let kind, _ = Api.error_of_exn e in
-      check_int "exit code" 2 (Api.Response.error_exit_code kind)
+  List.iter
+    (fun workers ->
+      let cfg =
+        { Config.default with Config.access_log = Some log; workers }
+      in
+      match Server.run cfg with
+      | () -> Alcotest.failf "%d workers: an unopenable access log" workers
+      | exception e ->
+          let kind, _ = Api.error_of_exn e in
+          check_int
+            (Printf.sprintf "%d workers: exit code" workers)
+            2
+            (Api.Response.error_exit_code kind))
+    [ 1; 2 ]
 
 let test_request_trace_exemplar () =
   if not (Obs.enabled ()) then Obs.enable ();
