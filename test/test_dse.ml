@@ -716,7 +716,7 @@ let () =
             test_heuristic_finds_best;
           Alcotest.test_case "deterministic across jobs" `Quick
             test_search_deterministic_across_jobs;
-          Alcotest.test_case "prechecker = check's TN001, TN002, TN009" `Quick
+          Alcotest.test_case "prechecker agrees with check" `Quick
             test_prechecker_matches_check;
           Alcotest.test_case "stats partition" `Quick test_search_stats_add_up;
           Alcotest.test_case "wide-time candidate invalid" `Quick
