@@ -134,9 +134,10 @@ module String_set = Set.Make (String)
 
 (* Injectivity read off the stamp expressions, with no counting: Θ is
    injective when every iterator is a function of the stamp.  Each
-   coordinate is an [Add]/[Sub]/[Neg] chain of terms; once every term
-   but one is a function of determined iterators, the value of that one
-   term is known, and an iterator is determined when
+   coordinate is an [Add]/[Sub]/[Neg] chain of terms, a nonzero
+   constant factor dropped (c * t determines t); once every term but one
+   is a function of determined iterators, the value of that one term is
+   known, and an iterator is determined when
    - a known term is the iterator itself, a plain coordinate included;
    - both [x mod p] and [x fdiv p] are known terms for one [p]
      (x = p * fl(x / p) + x mod p).
@@ -147,6 +148,8 @@ let injective_by_construction (op : Ir.Tensor_op.t) (df : t) : bool =
     match e with
     | Isl.Aff.Add (a, b) | Isl.Aff.Sub (a, b) -> terms a (terms b acc)
     | Isl.Aff.Neg a -> terms a acc
+    | Isl.Aff.Mul (Isl.Aff.Int c, a) when c <> 0 -> terms a acc
+    | Isl.Aff.Mul (a, Isl.Aff.Int c) when c <> 0 -> terms a acc
     | e -> e :: acc
   in
   let chains = List.map (fun e -> terms e []) (df.space @ df.time) in

@@ -66,10 +66,12 @@ val injective_by_construction : Ir.Tensor_op.t -> t -> bool
     when it is a plain stamp coordinate, when both [x mod p] and
     [x fdiv p] of one [p] are recovered terms, or when it is the only
     term of a coordinate's [Add] chain that the recovered iterators do
-    not already give (a term so isolated is itself recovered).  Sound —
-    [true] implies {!conflict_counts} is [None] — but incomplete:
-    [false] proves nothing (the Eyeriss and MAERI stamps, which scale a
-    [mod] term, are injective but not certified). *)
+    not already give (a term so isolated is itself recovered; a nonzero
+    constant factor on a term is dropped).  Sound — [true] implies
+    {!conflict_counts} is [None] — but incomplete: [false] proves
+    nothing (the Eyeriss and MAERI stamps, which add a scaled [mod]
+    term to other iterators in one coordinate, are injective but not
+    certified). *)
 
 val space_violation : Ir.Tensor_op.t -> t -> Arch.Pe_array.t -> string option
 (** The rank and containment cases of {!first_violation}, with the same

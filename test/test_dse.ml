@@ -540,7 +540,26 @@ let test_injective_certificate_sound () =
       let n = List.length cands in
       check_int (op.Ir.Tensor_op.name ^ " candidates certified") n
         (certified (List.map (fun df -> (op, df)) cands)))
-    (mapper_shapes ())
+    (mapper_shapes ());
+  (* a nonzero constant factor determines what it scales: a strided
+     stamp that places every iterator is certified, without a count of
+     its wide stamp box; one that drops an iterator is not *)
+  let op = Ir.Kernels.gemm ~ni:4 ~nj:2 ~nk:2 in
+  let strided time =
+    Df.Dataflow.make ~name:"strided" ~space:Isl.Aff.[ Mod (Var "i", 2) ] ~time
+  in
+  let scaled e = Isl.Aff.Mul (Isl.Aff.Int 3, e) in
+  check_int "strided certified" 1
+    (certified
+       [
+         ( op,
+           strided
+             Isl.Aff.
+               [ scaled (Fdiv (Var "i", 2)); Mul (Var "j", Int (-5)); Var "k" ]
+         );
+       ]);
+  check_int "strided, i dropped" 0
+    (certified [ (op, strided Isl.Aff.[ scaled (Var "j"); scaled (Var "k") ]) ])
 
 (* The capacity tier as it stood before its count-free bounds: every
    tensor counted, summed, and sampled at the stamp box's corners and
