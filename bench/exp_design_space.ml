@@ -42,8 +42,8 @@ let capacity_rerun ~phase ~prefix ~label spec op cands =
     List.map2 (fun (v, c) b -> (v, Obs.value c - b)) verdicts before
   in
   Printf.printf
-    "capacity run, gemm (%s): %d generated, %d capacity-pruned, %d \
-     evaluated in %.2fs; tier verdicts: %s\n"
+    "capacity run, %s: %d generated, %d capacity-pruned, %d evaluated in \
+     %.2fs; tier verdicts: %s\n"
     label st.Dse.generated st.Dse.pruned_capacity st.Dse.evaluated dt
     (String.concat ", "
        (List.map (fun (v, n) -> Printf.sprintf "%d %s" n v) counts));
@@ -140,12 +140,17 @@ let run_dse () =
   let gemm = Ir.Kernels.gemm ~ni:16 ~nj:16 ~nk:16 in
   let base = Arch.Repository.tpu_like ~bandwidth:16 () in
   let gcands = Dse.candidates_2d gemm ~p:8 in
+  let snug = Arch.Spec.with_capacities ~scratchpad_bytes:256 base in
   capacity_rerun ~phase:"dse.search_capacity" ~prefix:"dse_cap"
-    ~label:"scratchpad 256 B"
-    (Arch.Spec.with_capacities ~scratchpad_bytes:256 base)
-    gemm gcands;
+    ~label:"gemm, scratchpad 256 B" snug gemm gcands;
   capacity_rerun ~phase:"dse.search_generous" ~prefix:"dse_gen"
-    ~label:"generous capacities"
+    ~label:"gemm, generous capacities"
     (Arch.Spec.with_capacities ~scratchpad_bytes:(1 lsl 22) ~pe_regs:64
        ~link_width:8 ~pe_ports:8 ~max_fanout:64 ~dram_bw:4096 base)
-    gemm gcands
+    gemm gcands;
+  (* The dse_mapper pointwise conv on the same scratchpad: the per-stamp
+     bound settles most of its candidates without a count. *)
+  let pw = Ir.Kernels.conv2d ~nk:8 ~nc:4 ~nox:4 ~noy:4 ~nrx:1 ~nry:1 in
+  capacity_rerun ~phase:"dse.search_pointwise" ~prefix:"dse_pw"
+    ~label:"pointwise conv, scratchpad 256 B" snug pw
+    (Dse.candidates_2d pw ~p:8)

@@ -8,12 +8,13 @@
    than it has ports.  This module decides those questions with the same
    two-tier strategy as the performance model:
 
-   - symbolically where possible: per-stamp demand is a cardinality of
-     the data-assignment relation [A = Θ⁻¹ . A_{S,F}] with the stamp
-     coordinates as free parameters ({!Tenet_isl.Count.count_union_param}),
-     and [Qpoly.prove_ge] certifies the capacity bound for *every* stamp
-     at once — exact for all sizes, O(1) per query
-     ([analysis.capacity_exact]);
+   - symbolically where possible: a count-free per-stamp bound
+     ([demand_bound]) that fits settles a capacity at once; otherwise
+     per-stamp demand is a cardinality of the data-assignment relation
+     [A = Θ⁻¹ . A_{S,F}] with the stamp coordinates as free parameters
+     ({!Tenet_isl.Count.count_union_param}), and [Qpoly.prove_ge]
+     certifies the capacity bound for *every* stamp at once — exact for
+     all sizes, O(1) per query ([analysis.capacity_exact]);
 
    - on the machine otherwise: a window-1 run of
      [Tenet_sim.Simulator.run], whose peak probes give each demand with
@@ -153,22 +154,50 @@ let sample_exceeds (total : Isl.Qpoly.t) ~(cap : int)
 let port_demand (op : Ir.Tensor_op.t) : int =
   List.length op.Ir.Tensor_op.accesses
 
-(* Upper bounds on per-stamp demand that need no count per dataflow.
-   The elements of a tensor live in one stamp lie in its footprint, so
-   Σ footprints (counted once per op) bounds the chip's demand and one
-   PE's, for any Θ.  When Θ is injective a PE runs at most one instance
-   per stamp, and one instance touches at most [port_demand] distinct
-   elements.  A capacity whose bound fits is settled without counting
-   its demand. *)
-let footprint_total (op : Ir.Tensor_op.t) : int =
-  List.fold_left
-    (fun acc tensor -> acc + Ir.Tensor_op.footprint op tensor)
-    0 (Ir.Tensor_op.tensors op)
+(* Saturating sums and products of nonnegative ints: a bound that
+   wrapped could settle a capacity it does not fit. *)
+let sat_add a b = if a > max_int - b then max_int else a + b
+let sat_mul a b = if b > 0 && a > max_int / b then max_int else a * b
 
-let pe_bound_fits (op : Ir.Tensor_op.t) ~(footprints : int) ~(cap : int)
-    (df : Df.Dataflow.t) : bool =
-  footprints <= cap
-  || (port_demand op <= cap && Df.Dataflow.injective_by_construction op df)
+(* An upper bound on per-stamp demand that needs no count per dataflow.
+   Within one stamp an iterator takes at most [Dataflow.stamp_spread]
+   values, so an access touches at most the product over its
+   iterators, and a tensor at most the sum over its distinct subscript
+   lists, never more than its footprint.  The bound is the sum over
+   tensors.  It is at most Σ footprints, and where the coordinates pin
+   every iterator at most [port_demand].  Staged: the footprints are
+   counted once per op. *)
+let demand_bound (op : Ir.Tensor_op.t) : Isl.Aff.t list -> int =
+  let tensors =
+    List.map
+      (fun tensor ->
+        let subscripts =
+          List.sort_uniq compare
+            (List.map
+               (fun (a : Ir.Tensor_op.access) -> a.Ir.Tensor_op.subscripts)
+               (Ir.Tensor_op.accesses_of op tensor))
+        in
+        ( Ir.Tensor_op.footprint op tensor,
+          List.map
+            (fun subs ->
+              List.sort_uniq String.compare
+                (List.concat_map Isl.Aff.free_vars subs))
+            subscripts ))
+      (Ir.Tensor_op.tensors op)
+  in
+  fun coords ->
+    let spread = Df.Dataflow.stamp_spread op coords in
+    List.fold_left
+      (fun total (footprint, accesses) ->
+        let touched =
+          List.fold_left
+            (fun n iters ->
+              sat_add n
+                (List.fold_left (fun m x -> sat_mul m (spread x)) 1 iters))
+            0 accesses
+        in
+        sat_add total (min footprint touched))
+      0 tensors
 
 (* ------------------------------------------------------------------ *)
 (* Diagnostics.                                                        *)
@@ -203,19 +232,16 @@ let check (spec : Arch.Spec.t) (op : Ir.Tensor_op.t) (df : Df.Dataflow.t) :
                   "%s: every instance performs %d tensor accesses in its \
                    cycle but the PE declares pe_ports = %d"
                   name demand ports)));
-    (* TN014 fast path: a count-free bound that fits, else a proof of
+    (* TN014 fast path: the count-free bound that fits, else a proof of
        the capacity bound over the whole stamp box; either way the
        verdict holds for all sizes. *)
     let chip_words =
       Option.map (fun b -> b / word_bytes) spec.Arch.Spec.scratchpad_bytes
     in
-    let footprints =
-      if spec.Arch.Spec.pe_regs = None && chip_words = None then 0
-      else footprint_total op
-    in
-    let settled ~bound_fits ~cap demand =
+    let bound = lazy (demand_bound op) in
+    let settled ~coords ~cap demand =
       let fits =
-        bound_fits
+        Lazy.force bound coords <= cap
         ||
         match demand op df with
         | Some (total, bounds) -> proved_fits total ~cap bounds
@@ -228,13 +254,14 @@ let check (spec : Arch.Spec.t) (op : Ir.Tensor_op.t) (df : Df.Dataflow.t) :
       match spec.Arch.Spec.pe_regs with
       | None -> true
       | Some cap ->
-          settled ~bound_fits:(pe_bound_fits op ~footprints ~cap df) ~cap
-            pe_demand
+          settled
+            ~coords:(df.Df.Dataflow.space @ df.Df.Dataflow.time)
+            ~cap pe_demand
     in
     let chip_settled =
       match chip_words with
       | None -> true
-      | Some cap -> settled ~bound_fits:(footprints <= cap) ~cap chip_demand
+      | Some cap -> settled ~coords:df.Df.Dataflow.time ~cap chip_demand
     in
     let need_machine =
       (not pe_settled) || (not chip_settled)
@@ -374,14 +401,14 @@ let feasible (spec : Arch.Spec.t) (op : Ir.Tensor_op.t) :
       | Some bytes -> bytes / word_bytes
       | None -> max_int
     in
-    (* counted once per predicate, eagerly rather than as a [Lazy]:
+    (* staged once per predicate, eagerly rather than as a [Lazy]:
        serve [dse] requests build and run the predicate on pool
        domains *)
-    let footprints =
-      if ports_bad || (pe_cap = max_int && chip_cap = max_int) then 0
-      else footprint_total op
+    let bound =
+      if ports_bad || (pe_cap = max_int && chip_cap = max_int) then fun _ -> 0
+      else demand_bound op
     in
-    let chip_fits = footprints <= chip_cap in
+    let fits ~cap coords = cap = max_int || bound coords <= cap in
     let sample demand ~cap =
       match demand with
       | Some (total, bounds) ->
@@ -396,7 +423,10 @@ let feasible (spec : Arch.Spec.t) (op : Ir.Tensor_op.t) :
       (fun df ->
         if ports_bad then verdict c_bounded false
         else
-          let pe_fits = pe_bound_fits op ~footprints ~cap:pe_cap df in
+          let pe_fits =
+            fits ~cap:pe_cap (df.Df.Dataflow.space @ df.Df.Dataflow.time)
+          in
+          let chip_fits = fits ~cap:chip_cap df.Df.Dataflow.time in
           if pe_fits && chip_fits then verdict c_bounded true
           else
             match

@@ -132,18 +132,18 @@ let conflict_counts (op : Ir.Tensor_op.t) (df : t) : (int * int) option =
 
 module String_set = Set.Make (String)
 
-(* Injectivity read off the stamp expressions, with no counting: Θ is
-   injective when every iterator is a function of the stamp.  Each
-   coordinate is an [Add]/[Sub]/[Neg] chain of terms, a nonzero
-   constant factor dropped (c * t determines t); once every term but one
-   is a function of determined iterators, the value of that one term is
-   known, and an iterator is determined when
+(* What stamp coordinates reveal of the iterators, read off the
+   expressions with no counting.  Each coordinate is an [Add]/[Sub]/[Neg]
+   chain of terms, a nonzero constant factor dropped (c * t determines
+   t); once every term but one is a function of pinned iterators, the
+   value of that one term is known, and an iterator is pinned when
    - a known term is the iterator itself, a plain coordinate included;
    - both [x mod p] and [x fdiv p] are known terms for one [p]
      (x = p * fl(x / p) + x mod p).
-   The rules repeat until nothing changes.  Sound, incomplete: a
-   [false] proves nothing. *)
-let injective_by_construction (op : Ir.Tensor_op.t) (df : t) : bool =
+   The rules repeat until nothing changes.  Returns the pinned iterators
+   and the known terms.  Sound, incomplete: an iterator left unpinned
+   may still be a function of the coordinates. *)
+let settle (coords : Isl.Aff.t list) : String_set.t * Isl.Aff.t list =
   let rec terms e acc =
     match e with
     | Isl.Aff.Add (a, b) | Isl.Aff.Sub (a, b) -> terms a (terms b acc)
@@ -152,8 +152,8 @@ let injective_by_construction (op : Ir.Tensor_op.t) (df : t) : bool =
     | Isl.Aff.Mul (a, Isl.Aff.Int c) when c <> 0 -> terms a acc
     | e -> e :: acc
   in
-  let chains = List.map (fun e -> terms e []) (df.space @ df.time) in
-  let rec settle det =
+  let chains = List.map (fun e -> terms e []) coords in
+  let rec go det =
     let given t =
       List.for_all (fun v -> String_set.mem v det) (Isl.Aff.free_vars t)
     in
@@ -174,10 +174,39 @@ let injective_by_construction (op : Ir.Tensor_op.t) (df : t) : bool =
           | _ -> d)
         det known
     in
-    if String_set.equal det' det then det else settle det'
+    if String_set.equal det' det then (det, known) else go det'
   in
-  let det = settle String_set.empty in
-  List.for_all (fun x -> String_set.mem x det) (Ir.Tensor_op.iter_names op)
+  go String_set.empty
+
+(* Injectivity: Θ is injective when the whole stamp pins every
+   iterator. *)
+let injective_by_construction (op : Ir.Tensor_op.t) (df : t) : bool =
+  let pinned, _ = settle (df.space @ df.time) in
+  List.for_all (fun x -> String_set.mem x pinned) (Ir.Tensor_op.iter_names op)
+
+(* How many values each iterator can take among the instances sharing
+   one value of [coords]: 1 when pinned, at most [p] when [x fdiv p] is
+   known, and otherwise at most its extent. *)
+let stamp_spread (op : Ir.Tensor_op.t) (coords : Isl.Aff.t list) :
+    string -> int =
+  let pinned, known = settle coords in
+  fun x ->
+    if String_set.mem x pinned then 1
+    else
+      let lo, hi = Ir.Tensor_op.iter_bounds op x in
+      (* the extent, at most [max_int] *)
+      let extent =
+        if hi < lo then 0
+        else if hi - lo < 0 || hi - lo = max_int then max_int
+        else hi - lo + 1
+      in
+      List.fold_left
+        (fun n t ->
+          match t with
+          | Isl.Aff.Fdiv (Isl.Aff.Var y, p) when p > 0 && String.equal x y ->
+              min n p
+          | _ -> n)
+        extent known
 
 (* A dataflow is valid on an architecture iff (1) the space-stamp rank
    matches the PE array rank, (2) every instance lands inside the array,

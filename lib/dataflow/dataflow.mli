@@ -60,18 +60,26 @@ val conflict_counts : Ir.Tensor_op.t -> t -> (int * int) option
     instances share a spacetime-stamp). *)
 
 val injective_by_construction : Ir.Tensor_op.t -> t -> bool
-(** A syntactic certificate that Θ is injective, with no counting.  It
-    holds when every iterator is recovered from the stamp by these
-    rules, repeated until nothing changes: an iterator is recovered
-    when it is a plain stamp coordinate, when both [x mod p] and
-    [x fdiv p] of one [p] are recovered terms, or when it is the only
-    term of a coordinate's [Add] chain that the recovered iterators do
-    not already give (a term so isolated is itself recovered; a nonzero
-    constant factor on a term is dropped).  Sound — [true] implies
-    {!conflict_counts} is [None] — but incomplete: [false] proves
-    nothing (the Eyeriss and MAERI stamps, which add a scaled [mod]
-    term to other iterators in one coordinate, are injective but not
-    certified). *)
+(** A syntactic certificate that Θ is injective, with no counting: the
+    space and time coordinates together pin every iterator (see
+    {!stamp_spread}).  Sound — [true] implies {!conflict_counts} is
+    [None] — but incomplete: [false] proves nothing (the Eyeriss and
+    MAERI stamps, which add a scaled [mod] term to other iterators in
+    one coordinate, are injective but not certified). *)
+
+val stamp_spread : Ir.Tensor_op.t -> Isl.Aff.t list -> string -> int
+(** [stamp_spread op coords x] bounds how many values iterator [x]
+    takes among the instances that share one value of the stamp
+    coordinates [coords], read off the expressions with no counting.
+    It is 1 when the coordinates pin [x], by these rules repeated until
+    nothing changes: an iterator is pinned when it is a plain
+    coordinate, when both [x mod p] and [x fdiv p] of one [p] are known
+    terms, or when it is the only term of a coordinate's [Add] chain
+    that the pinned iterators do not already give (a term so isolated
+    is itself known; a nonzero constant factor on a term is dropped).
+    It is at most [p] when [x fdiv p] is a known term, and otherwise
+    [x]'s extent, at most [max_int].  Staged: apply it to [op] and
+    [coords] once, then to each iterator. *)
 
 val space_violation : Ir.Tensor_op.t -> t -> Arch.Pe_array.t -> string option
 (** The rank and containment cases of {!first_violation}, with the same

@@ -980,34 +980,27 @@ let count_bset (b : Bset.t) : int =
           | plan -> count_with_plan cp plan
           | exception Empty_set -> 0)
 
+(* Emptiness decided on a plan in hand: pure satisfiability, every
+   position treated as existential. *)
+let plan_empty (plan : plan) : bool =
+  let n = n_positions plan in
+  n > 0
+  && not (exists_from { plan with nvis_positions = 0 } (Array.make n 0) 0)
+
 (* Satisfiability without caching, for the per-query [mem_bset] path
    (every query would otherwise insert a single-use cache entry). *)
 let is_empty_compiled (cp : compiled) ~(b : Bset.t) : bool =
-  (* Pure satisfiability: treat every position as existential. *)
   match make_plan cp with
-  | plan ->
-      let n = n_positions plan in
-      if n = 0 then false
-      else begin
-        let value = Array.make n 0 in
-        let sat_plan = { plan with nvis_positions = 0 } in
-        not (exists_from sat_plan value 0)
-      end
+  | plan -> plan_empty plan
   | exception Empty_set -> true
-  | exception Unbounded _ ->
+  | exception Unbounded _ -> (
       (* Some visible dim is unconstrained: the set is nonempty iff the
          rest is satisfiable.  Project everything out and retry. *)
       let all_ex = Bset.project ~keep:(Array.make b.Bset.nvis false) b in
       let cp' = Option.get (compile all_ex) in
-      (match make_plan cp' with
+      match make_plan cp' with
       | exception Empty_set -> true
-      | plan' ->
-          let n = n_positions plan' in
-          if n = 0 then false
-          else begin
-            let value = Array.make n 0 in
-            not (exists_from { plan' with nvis_positions = 0 } value 0)
-          end)
+      | plan' -> plan_empty plan')
 
 let is_empty_bset (b : Bset.t) : bool =
   match compile b with
@@ -1280,9 +1273,10 @@ let count_bset_param ~n_params ?assume (b : Bset.t) : Qpoly.t option =
   (* A plan that resists symbolically can still yield an exact template
      when the set is empty for {e every} in-range parameter value (the
      emptiness query ranges over the parameter box too) — the usual case
-     for inclusion–exclusion intersection terms of disjoint unions. *)
-  let fallback () =
-    if is_empty_bset b then begin
+     for inclusion–exclusion intersection terms of disjoint unions.
+     Emptiness is decided on the plan in hand when there is one. *)
+  let fallback ~empty =
+    if empty then begin
       Obs.incr c_tpl;
       Some Qpoly.zero
     end
@@ -1301,7 +1295,7 @@ let count_bset_param ~n_params ?assume (b : Bset.t) : Qpoly.t option =
       | exception Empty_set ->
           Obs.incr c_tpl;
           Some Qpoly.zero
-      | exception Unbounded _ -> fallback ()
+      | exception Unbounded _ -> fallback ~empty:(is_empty_bset b)
       | plan ->
           (* The greedy ordering seats bounded visible vars lowest-index
              first, so the protected parameters land at positions
@@ -1324,6 +1318,7 @@ let count_bset_param ~n_params ?assume (b : Bset.t) : Qpoly.t option =
             || List.for_all (box_implies assume ~pos) plan.level_cons.(pos)
                && box_exact (pos + 1)
           in
+          let fallback () = fallback ~empty:(plan_empty plan) in
           if
             plan.dedup || (not plan.sat_proven) || (not seated)
             || not (box_exact 0)

@@ -480,10 +480,13 @@ awk '
 echo "== dse mapper pruning (deterministic, from summary extras) =="
 # The pruned search's work accounting is deterministic: candidate
 # generation is fixed, so the evaluated/generated ratio and the tier
-# partition must hold exactly on any machine.  On both capacity reruns
-# the capacity tier settles each candidate that passed the precheck
-# exactly once (bounded, counted or resisted), and on the generous one
-# its count-free bounds settle every candidate.
+# partition must hold exactly on any machine.  On the three capacity
+# reruns the capacity tier settles each candidate that passed the
+# precheck exactly once (bounded, counted or resisted); on the generous
+# one its count-free bound settles every candidate, and on the
+# pointwise-conv one its verdicts are pinned: the per-stamp bound
+# settles 216 of the 240 candidates and the 24 skewed ones whose inner
+# time stamp it cannot read resist their count.
 awk '
   /"section": *"dse"/ { in_dse = 1 }
   in_dse && /"dse_generated"/   { gen  = $2 + 0 }
@@ -495,18 +498,18 @@ awk '
   in_dse && /"dse_cap_generated"/        { cgen  = $2 + 0 }
   in_dse && /"dse_cap_pruned_capacity"/  { ccap  = $2 + 0 }
   in_dse && /"dse_cap_evaluated"/        { ceval = $2 + 0 }
-  in_dse && /"dse_(cap|gen)_(generated|pruned_precheck|feasible_[a-z]*)"/ {
+  in_dse && /"dse_(cap|gen|pw)_(generated|pruned_precheck|feasible_[a-z]*)"/ {
     key = $1; gsub(/[":]/, "", key); v[key] = $2 + 0; seen[key] = 1
   }
   END {
     n_keys = 0
     for (k in seen) n_keys++
-    if (n_keys != 10) {
-      printf "dse capacity-run verdict extras missing (%d of 10)\n", n_keys
+    if (n_keys != 15) {
+      printf "dse capacity-run verdict extras missing (%d of 15)\n", n_keys
       exit 1
     }
-    split("cap gen", runs, " ")
-    for (i = 1; i <= 2; i++) {
+    split("cap gen pw", runs, " ")
+    for (i = 1; i <= 3; i++) {
       r = "dse_" runs[i] "_"
       tested = v[r "generated"] - v[r "pruned_precheck"]
       settled = v[r "feasible_bounded"] + v[r "feasible_counted"] \
@@ -520,6 +523,15 @@ awk '
     if (v["dse_gen_feasible_counted"] + v["dse_gen_feasible_resisted"] != 0) {
       printf "generous run counted %d and resisted %d (want 0 and 0)\n", \
         v["dse_gen_feasible_counted"], v["dse_gen_feasible_resisted"]
+      exit 1
+    }
+    if (v["dse_pw_generated"] != 240 || v["dse_pw_feasible_bounded"] != 216 \
+        || v["dse_pw_feasible_counted"] != 0 \
+        || v["dse_pw_feasible_resisted"] != 24) {
+      printf "pointwise run: %d candidates, %d bounded, %d counted, %d \
+resisted (want 240, 216, 0, 24)\n", v["dse_pw_generated"], \
+        v["dse_pw_feasible_bounded"], v["dse_pw_feasible_counted"], \
+        v["dse_pw_feasible_resisted"]
       exit 1
     }
     if (gen == 0) { print "dse summary extras missing"; exit 1 }
@@ -543,11 +555,14 @@ awk '
     }
     printf "dse mapper: %d/%d evaluated (precheck %d, symmetry %d, \
 capacity %d, dominated %d); capacity run: %d/%d pruned; tier verdicts \
-(bounded/counted/resisted) %d/%d/%d tight, %d/%d/%d generous\n", \
+(bounded/counted/resisted) %d/%d/%d tight, %d/%d/%d generous, \
+%d/%d/%d pointwise\n", \
       eval, gen, pc, sym, cap, dom, ccap, cgen, \
       v["dse_cap_feasible_bounded"], v["dse_cap_feasible_counted"], \
       v["dse_cap_feasible_resisted"], v["dse_gen_feasible_bounded"], \
-      v["dse_gen_feasible_counted"], v["dse_gen_feasible_resisted"]
+      v["dse_gen_feasible_counted"], v["dse_gen_feasible_resisted"], \
+      v["dse_pw_feasible_bounded"], v["dse_pw_feasible_counted"], \
+      v["dse_pw_feasible_resisted"]
   }' "$bench_dir/summary.json"
 
 echo "== serve cache speedup (warm vs cold batch) =="

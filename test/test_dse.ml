@@ -533,13 +533,23 @@ let test_injective_certificate_sound () =
       check_bool (df.Df.Dataflow.name ^ " conflicts") true
         (Df.Dataflow.conflict_counts op df <> None))
     dropped;
-  (* the mapper's generator places every iterator, so the per-PE bound
-     applies to every candidate it makes *)
+  (* the mapper's generator places every iterator, so one PE's demand
+     bound is at most the op's access count on every candidate it
+     makes *)
   List.iter
     (fun (op, cands) ->
       let n = List.length cands in
       check_int (op.Ir.Tensor_op.name ^ " candidates certified") n
-        (certified (List.map (fun df -> (op, df)) cands)))
+        (certified (List.map (fun df -> (op, df)) cands));
+      let bound = An.Capacity.demand_bound op in
+      List.iter
+        (fun (df : Df.Dataflow.t) ->
+          check_bool
+            (df.Df.Dataflow.name ^ ": per-PE bound within the access count")
+            true
+            (bound (df.Df.Dataflow.space @ df.Df.Dataflow.time)
+            <= List.length op.Ir.Tensor_op.accesses))
+        cands)
     (mapper_shapes ());
   (* a nonzero constant factor determines what it scales: a strided
      stamp that places every iterator is certified, without a count of
@@ -650,20 +660,47 @@ let reference_feasible (spec : Arch.Spec.t) (op : Ir.Tensor_op.t)
 
 let test_feasible_matches_reference () =
   let base = Arch.Repository.tpu_like ~bandwidth:8 () in
-  let specs =
-    [
-      ("roomy", generous base);
-      ("snug", Arch.Spec.with_capacities ~scratchpad_bytes:256 base);
-      ("tight", Arch.Spec.with_capacities ~scratchpad_bytes:64 base);
-      ( "regs",
-        Arch.Spec.with_capacities ~pe_regs:3 ~scratchpad_bytes:1024 base );
-      ("ports", Arch.Spec.with_capacities ~pe_ports:3 base);
-    ]
-  in
   let zoo = zoo_pairs () in
   let groups =
     List.map (fun (op, df) -> (op, [ df; drop_last_time df ])) zoo
     @ mapper_shapes ()
+  in
+  (* the tile widths the bound reads beyond p = 8: the 2D candidates
+     with p = 12 on the Eyeriss array, the 1D ones with p = 64, at the
+     dse_mapper scratchpads *)
+  let wide =
+    List.concat_map
+      (fun arch ->
+        let spec = Arch.Repository.find arch in
+        let pe = spec.Arch.Spec.pe in
+        let p = (Arch.Pe_array.dims pe).(0) in
+        let cands op =
+          if Arch.Pe_array.rank pe = 2 then Dse.candidates_2d op ~p
+          else Dse.candidates_1d op ~p
+        in
+        let groups =
+          List.map (fun (op, _) -> (op, cands op)) (mapper_shapes ())
+        in
+        List.map
+          (fun bytes ->
+            ( Printf.sprintf "%s, %d B" arch bytes,
+              Arch.Spec.with_capacities ~scratchpad_bytes:bytes spec,
+              groups ))
+          [ 256; 64 ])
+      [ "eyeriss-12x14"; "systolic-64x1" ]
+  in
+  let specs =
+    List.map
+      (fun (name, spec) -> (name, spec, groups))
+      [
+        ("roomy", generous base);
+        ("snug", Arch.Spec.with_capacities ~scratchpad_bytes:256 base);
+        ("tight", Arch.Spec.with_capacities ~scratchpad_bytes:64 base);
+        ( "regs",
+          Arch.Spec.with_capacities ~pe_regs:3 ~scratchpad_bytes:1024 base );
+        ("ports", Arch.Spec.with_capacities ~pe_ports:3 base);
+      ]
+    @ wide
   in
   let counters =
     List.map Obs.counter
@@ -678,7 +715,7 @@ let test_feasible_matches_reference () =
   Obs.enable ();
   Fun.protect ~finally:Obs.disable (fun () ->
       List.iter
-        (fun (name, spec) ->
+        (fun (name, spec, groups) ->
           List.iter
             (fun (op, dfs) ->
               let feasible = Option.get (An.Capacity.feasible spec op) in
@@ -694,8 +731,10 @@ let test_feasible_matches_reference () =
             groups)
         specs);
   let tested =
-    List.length specs
-    * List.fold_left (fun a (_, dfs) -> a + List.length dfs) 0 groups
+    List.fold_left
+      (fun a (_, _, groups) ->
+        List.fold_left (fun a (_, dfs) -> a + List.length dfs) a groups)
+      0 specs
   in
   let deltas = List.map2 (fun c b -> Obs.value c - b) counters before in
   check_int "every test bumps one verdict counter" tested
@@ -707,6 +746,42 @@ let test_feasible_matches_reference () =
       check_bool (c.Obs.c_name ^ " > 0") true (d > 0))
     counters deltas;
   check_bool "some candidates proven infeasible" true (!pruned > 0)
+
+(* A bound that wrapped would settle a capacity it does not fit.  The
+   access below reads two elements, but its iterators span 2^63 values,
+   a product that wraps to 0 in int arithmetic. *)
+let test_bound_saturates () =
+  let wide = (1 lsl 32) - 1 and half = (1 lsl 31) - 1 in
+  check_int "the product wraps" 0 ((wide + 1) * (half + 1));
+  let op =
+    Ir.Tensor_op.make ~name:"wide"
+      ~iters:[ ("i", 0, wide); ("j", 0, half) ]
+      ~accesses:
+        [
+          {
+            Ir.Tensor_op.tensor = "A";
+            subscripts = Isl.Aff.[ Mod (Add (Var "i", Var "j"), 2) ];
+            direction = Ir.Tensor_op.Read;
+          };
+        ]
+      ()
+  in
+  let time = [ Isl.Aff.Int 0 ] in
+  check_int "bound = footprint" 2 (An.Capacity.demand_bound op time);
+  let spec =
+    Arch.Spec.with_capacities ~scratchpad_bytes:An.Capacity.word_bytes
+      (Arch.Repository.systolic_1d ())
+  in
+  let feasible = Option.get (An.Capacity.feasible spec op) in
+  let bounded = Obs.counter "analysis.feasible_bounded"
+  and counted = Obs.counter "analysis.feasible_counted" in
+  let b0 = Obs.value bounded and c0 = Obs.value counted in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable (fun () ->
+      check_bool "two words on a one-word scratchpad" false
+        (feasible (Df.Dataflow.make ~name:"flat" ~space:[] ~time)));
+  check_int "not settled by the bound" 0 (Obs.value bounded - b0);
+  check_int "decided by a count" 1 (Obs.value counted - c0)
 
 let () =
   Alcotest.run "dse"
@@ -748,5 +823,7 @@ let () =
             test_injective_certificate_sound;
           Alcotest.test_case "capacity tier = counting reference" `Quick
             test_feasible_matches_reference;
+          Alcotest.test_case "capacity bound saturates" `Quick
+            test_bound_saturates;
         ] );
     ]

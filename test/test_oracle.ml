@@ -16,8 +16,9 @@
      [Concrete.analyze], compared as [Metrics.to_json] bytes.
    - Rung 4: the capacity verdicts against the peaks of
      [Simulator.run ~window:1] on every zoo subject at its own size:
-     capacities at the peaks pass [Checker.check] and
-     [Capacity.feasible], and one word below a peak is TN014.
+     [Capacity.demand_bound] is at least each peak, capacities at the
+     peaks pass [Checker.check] and [Capacity.feasible], and one word
+     below a peak is TN014.
 
    The reference of rungs 1 and 2 is the plain enumeration plan that
    iteration uses.  Rungs 1-3 draw their subjects from the checker's
@@ -431,8 +432,9 @@ let test_templates () =
 (* ------------------------------------------------------------------ *)
 
 (* A window-1 run needs [pe_live] registers per PE and [chip_live]
-   words on chip.  With exactly those capacities the checker reports no
-   TN014 and the mapper's pruner keeps the dataflow, so the pruner never
+   words on chip.  The count-free demand bounds are never below those
+   peaks.  With exactly those capacities the checker reports no TN014
+   and the mapper's pruner keeps the dataflow, so the pruner never
    drops a feasible candidate; one word below either peak the checker
    reports TN014.  Most of these verdicts are settled by the symbolic
    tier; the rest run the simulator again. *)
@@ -461,6 +463,11 @@ let test_peaks () =
             what s.An.Checker.s_kernel df.Df.Dataflow.name s.An.Checker.s_arch
             pe_live chip_live
       in
+      let bound = An.Capacity.demand_bound op in
+      expect "chip bound below the on-chip peak"
+        (bound df.Df.Dataflow.time >= chip_live);
+      expect "per-PE bound below the per-PE peak"
+        (bound (df.Df.Dataflow.space @ df.Df.Dataflow.time) >= pe_live);
       let at_peaks =
         Arch.Spec.with_capacities ~pe_regs:pe_live
           ~scratchpad_bytes:(bytes chip_live) spec
